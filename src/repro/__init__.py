@@ -23,67 +23,39 @@ True
 31.0
 """
 
-from repro import analysis, components, io, model, opt, platforms, util, viz
-from repro import paper
-from repro.analysis import AnalysisConfig, SystemAnalysis, analyze, is_schedulable
-from repro.components import Component, SystemAssembly
-from repro.model import Task, Transaction, TransactionSystem
-from repro.platforms import (
-    DedicatedPlatform,
-    LinearSupplyPlatform,
-    PeriodicServer,
+import importlib.util
+
+from repro._lazy import lazy_exports
+
+__version__ = "1.0.0"
+
+# Every subpackage and re-exported name loads on first access, so a
+# process pays only for what it uses: a ``campaign --shard`` subprocess
+# never loads networkx, the simulator or the optimizer.
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "analysis": ("AnalysisConfig", "SystemAnalysis", "analyze",
+                     "is_schedulable"),
+        "components": ("Component", "SystemAssembly"),
+        "model": ("Task", "Transaction", "TransactionSystem"),
+        "platforms": ("DedicatedPlatform", "LinearSupplyPlatform",
+                      "PeriodicServer"),
+        "sim": ("simulate", "validate_against_analysis"),
+    },
+    submodules=("analysis", "batch", "components", "gen", "io", "model",
+                "opt", "paper", "platforms", "sim", "util", "viz"),
 )
+__all__.append("__version__")
 
 # The analysis core runs NumPy-free (the interference kernel degrades to
 # its scalar reference closures); the simulator, the random-system
 # generators and the campaign engine genuinely need NumPy (RNG streams,
-# SeedSequence cell seeds).  Gating them keeps `import repro` -- and the
-# whole analysis surface -- usable on minimal installs, which the no-NumPy
-# CI leg pins.  The gate probes NumPy itself rather than wrapping the
-# subpackage imports in try/except: a genuine first-party ImportError
-# inside batch/gen/sim must propagate, not masquerade as "NumPy missing".
-try:
-    import numpy  # noqa: F401
-
-    _HAVE_NUMPY = True
-except ImportError:  # pragma: no cover - exercised by the no-NumPy CI leg
-    _HAVE_NUMPY = False
-
-if _HAVE_NUMPY:
-    from repro import batch, gen, sim
-    from repro.sim import simulate, validate_against_analysis
-else:  # pragma: no cover - exercised by the no-NumPy CI leg
+# SeedSequence cell seeds).  Binding them to None keeps `import repro` --
+# and the whole analysis surface -- usable on minimal installs, which the
+# no-NumPy CI leg pins.  ``find_spec`` probes for NumPy without importing
+# it; a genuine first-party ImportError inside batch/gen/sim still
+# propagates on first access instead of masquerading as "NumPy missing".
+if importlib.util.find_spec("numpy") is None:  # pragma: no cover
     batch = gen = sim = None  # type: ignore[assignment]
     simulate = validate_against_analysis = None  # type: ignore[assignment]
-
-__version__ = "1.0.0"
-
-__all__ = [
-    "analysis",
-    "batch",
-    "components",
-    "gen",
-    "io",
-    "model",
-    "opt",
-    "platforms",
-    "sim",
-    "util",
-    "viz",
-    "paper",
-    "Component",
-    "SystemAssembly",
-    "simulate",
-    "validate_against_analysis",
-    "AnalysisConfig",
-    "SystemAnalysis",
-    "analyze",
-    "is_schedulable",
-    "Task",
-    "Transaction",
-    "TransactionSystem",
-    "DedicatedPlatform",
-    "LinearSupplyPlatform",
-    "PeriodicServer",
-    "__version__",
-]

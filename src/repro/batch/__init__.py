@@ -50,107 +50,58 @@ previous run covered.
 The CLI front end is ``python -m repro campaign``.
 """
 
-from repro.batch.methods import (
-    MethodInfo,
-    MethodOutcome,
-    available_methods,
-    holistic_method,
-    register_method,
-    reseed_jitters,
-    resolve_method,
-)
-from repro.batch.canonical import (
-    analysis_config_hash,
-    campaign_config_hash,
-    canonical_json,
-    content_hash,
-    spec_hash,
-    system_hash,
-)
-from repro.batch.store import ResultStore, StoreGcStats, StoreKey, StoreStats
-from repro.batch.faults import Fault, FaultPlan, TransportFault
-from repro.batch.transport import (
-    CopyBackTransport,
-    SharedDirTransport,
-    TransportError,
-)
-from repro.batch.campaign import (
-    Campaign,
-    CampaignResult,
-    CampaignSpec,
-    CellResult,
-    StreamingMerger,
-    available_generators,
-    chain_cost_estimates,
-    linspace_levels,
-    load_cost_manifest,
-    lpt_shard_chains,
-    merge_campaign_results,
-    parse_shard,
-    partition_chains,
-    register_generator,
-    run_campaign,
-    shard_chains,
-    store_reachable_digests,
-)
-from repro.batch.dispatch import (
-    CampaignDispatcher,
-    DispatchError,
-    DispatchInterrupted,
-    DispatchReport,
-    HostHealth,
-    HostState,
-    LocalBackend,
-    SshBackend,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Campaign",
-    "CampaignDispatcher",
-    "CampaignResult",
-    "CampaignSpec",
-    "CellResult",
-    "CopyBackTransport",
-    "DispatchError",
-    "DispatchInterrupted",
-    "DispatchReport",
-    "Fault",
-    "FaultPlan",
-    "HostHealth",
-    "HostState",
-    "LocalBackend",
-    "MethodInfo",
-    "MethodOutcome",
-    "ResultStore",
-    "SharedDirTransport",
-    "SshBackend",
-    "StoreGcStats",
-    "StoreKey",
-    "StoreStats",
-    "StreamingMerger",
-    "TransportError",
-    "TransportFault",
-    "analysis_config_hash",
-    "available_generators",
-    "available_methods",
-    "campaign_config_hash",
-    "canonical_json",
-    "chain_cost_estimates",
-    "content_hash",
-    "holistic_method",
-    "linspace_levels",
-    "load_cost_manifest",
-    "lpt_shard_chains",
-    "merge_campaign_results",
-    "parse_shard",
-    "partition_chains",
-    "register_generator",
-    "register_method",
-    "reseed_jitters",
-    "resolve_method",
-    "run_campaign",
-    "shard_chains",
-    "spec_hash",
-    "store_reachable_digests",
-    "system_hash",
-]
+# Names load on first access: a ``campaign --shard`` subprocess imports
+# the campaign engine but never the dispatcher or the transports.
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "methods": (
+        "MethodInfo",
+        "MethodOutcome",
+        "available_methods",
+        "holistic_method",
+        "register_method",
+        "reseed_jitters",
+        "resolve_method",
+    ),
+    "canonical": (
+        "analysis_config_hash",
+        "campaign_config_hash",
+        "canonical_json",
+        "content_hash",
+        "spec_hash",
+        "system_hash",
+    ),
+    "store": ("ResultStore", "StoreGcStats", "StoreKey", "StoreStats"),
+    "faults": ("Fault", "FaultPlan", "TransportFault"),
+    "transport": ("CopyBackTransport", "SharedDirTransport", "TransportError"),
+    "campaign": (
+        "Campaign",
+        "CampaignResult",
+        "CampaignSpec",
+        "CellResult",
+        "StreamingMerger",
+        "available_generators",
+        "chain_cost_estimates",
+        "linspace_levels",
+        "load_cost_manifest",
+        "lpt_shard_chains",
+        "merge_campaign_results",
+        "parse_shard",
+        "partition_chains",
+        "register_generator",
+        "run_campaign",
+        "shard_chains",
+        "store_reachable_digests",
+    ),
+    "dispatch": (
+        "CampaignDispatcher",
+        "DispatchError",
+        "DispatchInterrupted",
+        "DispatchReport",
+        "HostHealth",
+        "HostState",
+        "LocalBackend",
+        "SshBackend",
+    ),
+})

@@ -76,7 +76,7 @@ from repro.batch.canonical import campaign_config_hash, system_hash
 from repro.batch.faults import WorkerFaults
 from repro.batch.methods import reseed_jitters, resolve_method
 from repro.batch.store import ResultStore, StoreKey
-from repro.gen import RandomSystemSpec, random_system
+from repro.gen.random_transactions import RandomSystemSpec, random_system
 from repro.model.system import TransactionSystem
 from repro.util.fixedpoint import fixed_point_stats
 from repro.viz.csvout import write_csv

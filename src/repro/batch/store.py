@@ -32,6 +32,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
@@ -139,16 +140,20 @@ class ResultStore:
     def put(self, key: StoreKey, value: dict[str, Any]) -> bool:
         """Store *value* under *key* unless present; ``True`` if written.
 
-        The write is kill-safe: the payload is fsynced to a
-        pid-suffixed temp file, then renamed into place, so a crash
-        leaves either the complete entry or nothing -- never a torn
-        file a later ``get`` could misread.
+        The write is kill-safe: the payload is fsynced to a temp file
+        suffixed with the writer's pid and thread id, then renamed into
+        place, so a crash leaves either the complete entry or nothing --
+        never a torn file a later ``get`` could misread -- and concurrent
+        writers of one key, threads of one process included, never share
+        a temp file.
         """
         path = self._path(key)
         if path.exists():
             return False
         path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_name(f"{path.name}.tmp.{os.getpid()}")
+        tmp = path.with_name(
+            f"{path.name}.tmp.{os.getpid()}.{threading.get_ident()}"
+        )
         # Non-strict dumps on purpose: cell metrics may hold NaN (e.g. a
         # diverged max_wcrt_ratio), which round-trips through Python's
         # JSON just like it does in the campaign result files.

@@ -31,13 +31,12 @@ from typing import Sequence
 
 from repro.analysis import AnalysisConfig, analyze
 from repro.io import load_system, save_system, system_to_dict
-from repro.opt import minimize_bandwidth
-from repro.paper import render_table3, sensor_fusion_system
 from repro.viz import format_table
 
-# The simulator needs NumPy; the analysis surface of the CLI must not
-# (the no-NumPy CI leg pins `import repro`).  Lazy-imported by the
-# simulate/validate/gantt commands instead.
+# Subsystems only some commands use -- the simulator (NumPy), the
+# optimizer, the paper tables, the campaign engine, the service -- are
+# imported inside their handlers, so a ``campaign --shard`` subprocess
+# loads only the code it runs and the analysis commands never need NumPy.
 
 __all__ = ["main", "build_parser"]
 
@@ -562,6 +561,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         title=f"analysis of {args.system} (method={args.method})",
     ))
     if args.trace:
+        from repro.paper import render_table3
+
         print()
         for i in range(len(system.transactions)):
             if len(system.transactions[i].tasks) > 1:
@@ -628,6 +629,8 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_design(args: argparse.Namespace) -> int:
+    from repro.opt import minimize_bandwidth
+
     system = load_system(args.system)
     design = minimize_bandwidth(system, rate_tol=args.rate_tol)
     rows = [
@@ -685,6 +688,8 @@ def _cmd_gantt(args: argparse.Namespace) -> int:
 
 
 def _cmd_example(args: argparse.Namespace) -> int:
+    from repro.paper import sensor_fusion_system
+
     system = sensor_fusion_system()
     if args.out:
         save_system(system, args.out)

@@ -12,10 +12,12 @@ exceed ``1/MIT``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from repro.components.threads import CallStep, EventThread
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["AssemblyError", "Problem", "MITViolation", "validate_assembly"]
 
@@ -134,6 +136,8 @@ def _call_graph(assembly) -> nx.DiGraph:
     (or, for roots, a periodic thread of ``A``, encoded as ``(A, thread)``)
     contains a call bound to ``B.n``.
     """
+    import networkx as nx  # only the cycle check needs it
+
     g = nx.DiGraph()
     for iname, comp in assembly.instances.items():
         for thread in comp.threads:
@@ -154,6 +158,8 @@ def _call_graph(assembly) -> nx.DiGraph:
 
 
 def _cycles(assembly) -> list[Problem]:
+    import networkx as nx
+
     g = _call_graph(assembly)
     problems = []
     for cycle in nx.simple_cycles(g):

@@ -9,35 +9,26 @@
   assemblies (acyclic RPC topologies) exercising the Sec. 2.4 transform.
 """
 
-from repro.gen.uunifast import uunifast, uunifast_discard
-from repro.gen.random_transactions import (
-    RandomSystemSpec,
-    random_system,
-)
-from repro.gen.random_components import (
-    RandomAssemblySpec,
-    random_assembly,
-)
-from repro.gen.presets import (
-    automotive_cluster,
-    avionics_partitions,
-    campaign_base,
-    deep_chain_spec,
-    independent_tasks_spec,
-    wide_view_spec,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "uunifast",
-    "uunifast_discard",
-    "RandomSystemSpec",
-    "random_system",
-    "RandomAssemblySpec",
-    "random_assembly",
-    "automotive_cluster",
-    "avionics_partitions",
-    "campaign_base",
-    "deep_chain_spec",
-    "independent_tasks_spec",
-    "wide_view_spec",
-]
+# ``uunifast`` is both a submodule and the function it defines, so that
+# submodule loads now: importing it later would bind the module over the
+# function.  The component generators and presets (which pull in
+# repro.components) load on first access.
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "uunifast": ("uunifast", "uunifast_discard"),
+        "random_transactions": ("RandomSystemSpec", "random_system"),
+        "random_components": ("RandomAssemblySpec", "random_assembly"),
+        "presets": (
+            "automotive_cluster",
+            "avionics_partitions",
+            "campaign_base",
+            "deep_chain_spec",
+            "independent_tasks_spec",
+            "wide_view_spec",
+        ),
+    },
+    eager=("uunifast",),
+)

@@ -5,30 +5,19 @@ objects are serialized by mechanism so a loaded system analyzes *and*
 simulates identically.
 """
 
-from repro.io.spec import (
-    system_from_dict,
-    system_to_dict,
-    load_system,
-    save_system,
-)
-from repro.io.components_spec import (
-    assembly_from_dict,
-    assembly_to_dict,
-    component_from_dict,
-    component_to_dict,
-    load_assembly,
-    save_assembly,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "system_to_dict",
-    "system_from_dict",
-    "save_system",
-    "load_system",
-    "component_to_dict",
-    "component_from_dict",
-    "assembly_to_dict",
-    "assembly_from_dict",
-    "save_assembly",
-    "load_assembly",
-]
+# The component-assembly schema (which pulls in repro.components) loads
+# on first access.
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "spec": ("system_to_dict", "system_from_dict", "save_system",
+             "load_system"),
+    "components_spec": (
+        "component_to_dict",
+        "component_from_dict",
+        "assembly_to_dict",
+        "assembly_from_dict",
+        "save_assembly",
+        "load_assembly",
+    ),
+})

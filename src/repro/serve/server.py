@@ -1,11 +1,12 @@
 """Run the ASGI app for real: uvicorn when installed, stdlib otherwise.
 
 The server dependency is guarded exactly like NumPy is in
-``repro/__init__``: probe the import, remember the answer, and degrade
-to a first-party fallback instead of failing.  Here the fallback is a
-``ThreadingHTTPServer`` whose handler funnels every request through the
-same :func:`~repro.serve.testclient.call_asgi` bridge the test client
-uses -- one code path from the tier-1 suite to production.  uvicorn
+``repro/__init__``: probe for it with ``find_spec`` (importing it only
+when that backend is chosen), and degrade to a first-party fallback
+instead of failing.  Here the fallback is a ``ThreadingHTTPServer``
+whose handler funnels every request through the same
+:func:`~repro.serve.testclient.call_asgi` bridge the test client uses
+-- one code path from the tier-1 suite to production.  uvicorn
 (``requirements-ci.txt`` installs it; the no-NumPy leg does not) is
 preferred when importable because it brings a production event loop,
 keep-alive and graceful-shutdown handling for free.
@@ -16,20 +17,15 @@ from __future__ import annotations
 import signal
 import sys
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from importlib.util import find_spec
 
 from repro.serve.app import ReproServeApp
 from repro.serve.testclient import call_asgi
 
-# Guarded like NumPy: probe the dependency itself so a genuine
-# first-party ImportError inside repro.serve propagates instead of
-# masquerading as "uvicorn missing".
-try:
-    import uvicorn
-
-    _HAVE_UVICORN = True
-except ImportError:  # pragma: no cover - exercised where uvicorn is absent
-    uvicorn = None  # type: ignore[assignment]
-    _HAVE_UVICORN = False
+# Guarded like NumPy: probe for the dependency itself, without importing
+# it, so ``--http stdlib`` never loads uvicorn and a genuine first-party
+# ImportError inside repro.serve is never mistaken for "uvicorn missing".
+_HAVE_UVICORN = find_spec("uvicorn") is not None
 
 __all__ = ["serve_forever"]
 
@@ -37,6 +33,10 @@ __all__ = ["serve_forever"]
 def _make_handler(app: ReproServeApp):
     class Handler(BaseHTTPRequestHandler):
         protocol_version = "HTTP/1.1"
+        # Headers and body go out in separate sends; with Nagle on, every
+        # keep-alive response would wait ~40 ms for the client's delayed
+        # ACK before the body leaves.
+        disable_nagle_algorithm = True
 
         def _dispatch(self) -> None:
             length = int(self.headers.get("Content-Length") or 0)
@@ -121,5 +121,7 @@ def serve_forever(
     # uvicorn drives the lifespan protocol, which calls app.close() on
     # shutdown (see ReproServeApp._lifespan); SIGINT/SIGTERM handling is
     # uvicorn's own graceful path.
+    import uvicorn
+
     uvicorn.run(app, host=host, port=port, log_level="warning")
     return 0

@@ -10,11 +10,7 @@ trends) survive both renderings.
 from repro.viz.ascii import ascii_plot, ascii_step_plot
 from repro.viz.tables import format_table
 from repro.viz.csvout import write_csv, series_to_rows
-
-try:
-    from repro.viz.gantt import render_gantt
-except ImportError:  # pragma: no cover - exercised by the no-NumPy CI leg
-    render_gantt = None  # needs the simulator's trace types (NumPy)
+from repro.viz.gantt import render_gantt
 
 __all__ = [
     "ascii_plot",

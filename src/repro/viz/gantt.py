@@ -9,8 +9,12 @@ time and `` `` (space) is time without supply.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from repro.model.system import TransactionSystem
-from repro.sim.trace import SimTrace
+
+if TYPE_CHECKING:  # a runtime import would load all of repro.sim
+    from repro.sim.trace import SimTrace
 
 __all__ = ["render_gantt"]
 

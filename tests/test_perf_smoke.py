@@ -15,6 +15,10 @@ Two layers of protection for the throughput numbers the ROADMAP tracks:
 * **Perf smoke** -- a few-second re-measurement of the reference sweep
   that fails when systems/sec regresses more than 30% below the recorded
   reference.  Timed best-of-3 to damp container throughput jitter.
+
+``BENCH_startup.json`` (``benchmarks/bench_startup.py``) is schema-checked
+too; its gates are on the recorded module counts only -- the startup
+walls depend on the machine and are not gated.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from repro.batch import Campaign, CampaignSpec, linspace_levels
 
 ROOT = Path(__file__).resolve().parent.parent
 BENCH = ROOT / "BENCH_campaign.json"
+STARTUP_BENCH = ROOT / "BENCH_startup.json"
 
 #: Fields every run entry of the bench JSON must carry.
 RUN_FIELDS = {
@@ -256,3 +261,47 @@ class TestPerfSmoke:
             f"campaign throughput regressed: {measured:.1f} systems/s "
             f"vs recorded {reference:.1f} (floor {floor:.1f})"
         )
+
+
+#: Entry points ``benchmarks/bench_startup.py`` times.
+STARTUP_COMMANDS = {"python", "import_repro", "import_serve", "cli_help",
+                    "shard"}
+
+#: Fields of each entry point's record.
+STARTUP_FIELDS = {"argv", "wall_s", "wall_s_iqr", "samples", "modules",
+                  "repro_modules", "numpy", "networkx"}
+
+
+class TestStartupBench:
+    @pytest.fixture(scope="class")
+    def startup(self) -> dict:
+        return json.loads(STARTUP_BENCH.read_text())
+
+    def test_schema(self, startup):
+        assert {
+            "description", "python", "cpu", "cpus", "dont_write_bytecode",
+            "repeats", "commands", "baseline", "speedup",
+        } <= set(startup)
+        for tree in ("commands", "baseline"):
+            assert set(startup[tree]) == STARTUP_COMMANDS
+            for record in startup[tree].values():
+                assert STARTUP_FIELDS <= set(record)
+                assert record["samples"] == startup["repeats"]
+                assert record["wall_s"] > 0 and record["wall_s_iqr"] >= 0
+        assert set(startup["speedup"]) == STARTUP_COMMANDS
+
+    def test_import_repro_loads_only_the_package(self, startup):
+        commands = startup["commands"]
+        record = commands["import_repro"]
+        assert record["repro_modules"] <= 2  # repro and its lazy helper
+        assert not record["numpy"] and not record["networkx"]
+        # At most the package, its helper and __future__ beyond the
+        # bare interpreter's own modules.
+        assert record["modules"] - commands["python"]["modules"] <= 3
+
+    def test_shard_loads_half_the_modules(self, startup):
+        shard = startup["commands"]["shard"]
+        before = startup["baseline"]["shard"]
+        assert not shard["networkx"] and before["networkx"]
+        assert shard["modules"] <= 0.6 * before["modules"]
+        assert shard["repro_modules"] < before["repro_modules"]

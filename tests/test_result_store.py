@@ -253,6 +253,40 @@ class TestResultStore:
         assert stats.entries == 2
         assert stats.bytes > 0
 
+    def test_same_key_puts_from_threads(self, tmp_path):
+        # The service's request threads share one process: writers of one
+        # key must not share a temp file (the loser's rename would raise).
+        import sys
+        import threading
+
+        store = ResultStore(tmp_path / "store")
+        value = {"x": list(range(200))}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for n in range(10):
+                barrier = threading.Barrier(8, timeout=30)
+                errors = []
+
+                def put(key=self.key(n)):
+                    try:
+                        barrier.wait()
+                        store.put(key, value)
+                    except Exception as exc:  # noqa: BLE001 - collected
+                        errors.append(exc)
+
+                threads = [threading.Thread(target=put) for _ in range(8)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30)
+                    assert not thread.is_alive()
+                assert errors == []
+                assert store.get(self.key(n)) == value
+        finally:
+            sys.setswitchinterval(interval)
+        assert list(store.root.glob("??/*.tmp.*")) == []
+
     def test_unwritable_root_raises(self, tmp_path):
         import os
 

@@ -458,8 +458,8 @@ class TestSchemas:
 class TestStdlibBridge:
     """The production fallback path: the same app on http.server."""
 
-    def test_http_round_trip(self):
-        import urllib.request
+    @pytest.fixture
+    def port(self):
         from http.server import ThreadingHTTPServer
 
         from repro.serve.server import _make_handler
@@ -471,21 +471,47 @@ class TestStdlibBridge:
         server.daemon_threads = True
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
-        base = f"http://127.0.0.1:{server.server_port}"
         try:
-            with urllib.request.urlopen(base + "/healthz", timeout=10) as r:
-                assert json.loads(r.read())["status"] == "ok"
-            request = urllib.request.Request(
-                base + "/analyze",
-                data=json.dumps(
-                    {"system": system_to_dict(sensor_fusion_system())}
-                ).encode(),
-                headers={"Content-Type": "application/json"},
-            )
-            with urllib.request.urlopen(request, timeout=30) as r:
-                assert json.loads(r.read())["schedulable"] is True
+            yield server.server_port
         finally:
             server.shutdown()
             server.server_close()
             thread.join(timeout=10)
             app.close()
+
+    def test_http_round_trip(self, port):
+        import urllib.request
+
+        base = f"http://127.0.0.1:{port}"
+        with urllib.request.urlopen(base + "/healthz", timeout=10) as r:
+            assert json.loads(r.read())["status"] == "ok"
+        request = urllib.request.Request(
+            base + "/analyze",
+            data=json.dumps(
+                {"system": system_to_dict(sensor_fusion_system())}
+            ).encode(),
+            headers={"Content-Type": "application/json"},
+        )
+        with urllib.request.urlopen(request, timeout=30) as r:
+            assert json.loads(r.read())["schedulable"] is True
+
+    def test_keepalive_responses_do_not_stall(self, port):
+        # A plain keep-alive client (no TCP_QUICKACK): with Nagle on, each
+        # response's body waits for the client's delayed ACK of its
+        # headers, a floor of >= 40 ms per request.
+        import http.client
+        from statistics import median
+
+        conn = http.client.HTTPConnection("127.0.0.1", port, timeout=10)
+        latencies = []
+        try:
+            for _ in range(20):
+                t0 = time.perf_counter()
+                conn.request("GET", "/healthz")
+                response = conn.getresponse()
+                response.read()
+                latencies.append(time.perf_counter() - t0)
+                assert response.status == 200
+        finally:
+            conn.close()
+        assert median(latencies) < 0.020, latencies
