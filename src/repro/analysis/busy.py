@@ -20,7 +20,8 @@ DESIGN.md Section 4):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from bisect import bisect_left
+from dataclasses import dataclass
 
 from repro.model.system import TransactionSystem
 from repro.util.math import EPS, ceil_div, floor_div, fmod_pos, phase_in_period
@@ -189,31 +190,6 @@ class TransactionView:
     #: Built once per projection so per-evaluation key construction is a
     #: tuple concatenation; empty for hand-built views (computed lazily).
     cache_tag: tuple = ()
-    #: Memo slot for the contiguous ``(phi, jitter, cost)`` float arrays the
-    #: vector kernel reduces over; materialized lazily on the first vector
-    #: compile by :func:`_view_arrays` (so the scalar kernel never pays for
-    #: them) and excluded from equality so views stay comparable.
-    arrays: tuple | None = field(default=None, compare=False, repr=False)
-
-
-def _make_view_arrays(tasks: tuple[HPTask, ...]) -> tuple | None:
-    """``(phi, jitter, cost)`` contiguous arrays for *tasks* (None sans NumPy)."""
-    if _np is None:
-        return None
-    return (
-        _np.array([hp.phi for hp in tasks], dtype=float),
-        _np.array([hp.jitter for hp in tasks], dtype=float),
-        _np.array([hp.cost for hp in tasks], dtype=float),
-    )
-
-
-def _view_arrays(view: TransactionView) -> tuple:
-    """The view's flat arrays, materializing them for hand-built views."""
-    if view.arrays is not None:
-        return view.arrays
-    arrays = _make_view_arrays(view.tasks)
-    object.__setattr__(view, "arrays", arrays)
-    return arrays
 
 
 @dataclass(frozen=True)
@@ -418,12 +394,12 @@ def w_transaction_star(view: TransactionView, t: float) -> float:
     return best
 
 
-#: ``kernel="auto"`` switches a view to the vector kernel once its batched
-#: evaluation covers at least this many (starter, task) pairs per call.
-#: Below the threshold the Python loop of the scalar closures beats NumPy's
-#: per-call dispatch overhead (measured crossover ~20-30 pairs on CPython
-#: 3.11/NumPy 2); far above it the vector kernel wins by an order of
-#: magnitude.
+#: ``kernel="auto"`` switches a closure to the vector kernel once one
+#: evaluation covers at least this many jobs (rows, or (starter, task)
+#: pairs for W*).  For flat rows it is the measured crossover against
+#: NumPy's per-call dispatch overhead; the W* step envelope already wins
+#: from 4 jobs (``BENCH_layers.json``), but views of up to 4 tasks keep
+#: the scalar reference.
 VECTOR_MIN_JOBS = 24
 
 
@@ -432,7 +408,7 @@ def resolve_kernel(kernel: str, batch_jobs: int) -> str:
 
     ``batch_jobs`` is the number of (starter, task) pairs one evaluation of
     the candidate closure touches: ``len(view.tasks)`` for :math:`W^k_i`,
-    ``len(view.tasks)**2`` for the starter-batched :math:`W^*_i`.
+    ``len(view.tasks)**2`` for :math:`W^*_i` (every starter, every task).
     """
     if kernel == "scalar" or _np is None:
         return "scalar"
@@ -466,13 +442,6 @@ def _snapped_ceil(x):
     """
     nearest = _np.rint(x)
     return _np.where(_np.abs(x - nearest) <= EPS, nearest, _np.ceil(x))
-
-
-def _carry_for(phases, jitter_arr, period):
-    """Vectorized jitter carry ``floor((J_j + phi^k_j)/T)`` of Eq. 8."""
-    x = (jitter_arr + phases) / period
-    nearest = _np.rint(x)
-    return _np.where(_np.abs(x - nearest) <= EPS, nearest, _np.floor(x))
 
 
 def scenario_rows(
@@ -619,32 +588,20 @@ def compile_w_transaction_star(view: TransactionView, *, kernel: str = "scalar")
     """Precompiled :math:`W^*_i` closure, equal to
     ``lambda t: w_transaction_star(view, t)`` (Eq. 15).
 
-    Under the vector kernel the maximization over candidate starters is
-    batched: one ``(starters, tasks)`` phase/carry matrix is prepared at
-    compile time and every evaluation reduces it with a single matrix
-    expression -- all of Eq. 15 in one call instead of one closure per
-    starter.
+    The scalar kernel maximizes over one compiled :math:`W^k_i` closure per
+    candidate starter.  The vector kernel evaluates the exact step envelope
+    of :func:`_compile_star_envelope` instead: a few scalar operations per
+    call, however wide the view.
     """
-    n = len(view.tasks)
+    rows = tuple(scenario_rows(view, s) for s in view.tasks)
+    n = len(rows)
     if n and resolve_kernel(kernel, n * n) == "vector":
-        _phi_arr, jitter_arr, cost_arr = _view_arrays(view)
-        period = view.period
-        # Row k: phases of every view task when starter k opens the busy
-        # period (phase-cache backed, same entries the scalar path uses).
-        ph = _np.array(
-            [_phases_for(view, s.phi, s.jitter) for s in view.tasks],
-            dtype=float,
-        )
-        carry = _carry_for(ph, jitter_arr[_np.newaxis, :], period)
-        maximum, zeros = _np.maximum, _np.zeros_like(ph)
+        return _compile_star_envelope(view.period, rows)
+    return _max_of(tuple(compile_w_rows(r, kernel=kernel) for r in rows))
 
-        def w_star_vec(t: float) -> float:
-            jobs = carry + _snapped_ceil((t - ph) / period)
-            return float((maximum(jobs, zeros) @ cost_arr).max())
 
-        return w_star_vec
-
-    fns = tuple(compile_w_transaction_k(view, s, kernel=kernel) for s in view.tasks)
+def _max_of(fns: tuple):
+    """Pointwise maximum of the non-negative W closures *fns* (0 if none)."""
     if len(fns) == 1:
         # A single candidate starter: the maximization is the identity
         # (the common shape in generated systems -- skip the wrapper).
@@ -659,6 +616,73 @@ def compile_w_transaction_star(view: TransactionView, *, kernel: str = "scalar")
         return best
 
     return w_star
+
+
+def _compile_star_envelope(period: float, rows: tuple):
+    """Eq. 15 over the per-starter :func:`scenario_rows` *rows* of one view.
+
+    All (starter, task) entries share the view period and ``(t - phi)/T``
+    is monotone in ``phi``, so at any *t* the entries' snapped job counts
+    are ``hi`` up to one cut in the sorted phase list and ``lo`` after it,
+    with ``hi - lo <= 1`` but at rounding edges.  While ``lo`` keeps every
+    ``carry + jobs`` non-negative, ``W*(t) = lo * sum(C) + E[cut]``, ``E``
+    being the prefix-max over the sorted entries of each starter's
+    ``sum(carry * C)`` plus its costs before the cut.  ``lo``, ``hi`` and
+    the cut use the scalar closures' snapped ceiling (``bisect`` only
+    seeds the cut, the exact expression confirms it on both neighbours);
+    outside that regime -- ``t`` within about ``EPS * T`` of the start, or
+    a wider spread -- the scalar :math:`W^k` closures answer.
+    """
+    ceil_ = math.ceil
+    total = sum(cost for _ph, _carry, cost, _period in rows[0])
+    entries = [
+        (ph, k, cost)
+        for k, row in enumerate(rows)
+        for ph, _carry, cost, _period in row
+    ]
+    entries.sort(key=lambda entry: entry[0])
+    level = [sum(carry * cost for _ph, carry, cost, _p in row) for row in rows]
+    best = max(level)
+    envelope = [best]
+    for _ph, k, cost in entries:
+        v = level[k] = level[k] + cost
+        if v > best:
+            best = v
+        envelope.append(best)
+    phases = [ph for ph, _k, _cost in entries]
+    first, last, m = phases[0], phases[-1], len(phases)
+    min_carry = min(carry for row in rows for _ph, carry, _c, _p in row)
+    scalar: list = []  # the scalar W* closure, compiled on first need
+
+    def jobs(t: float, ph: float) -> int:
+        x = (t - ph) / period
+        nearest = round(x)
+        return nearest if abs(x - nearest) <= EPS else ceil_(x)
+
+    def w_star_envelope(t: float) -> float:
+        x = (t - last) / period
+        nearest = round(x)
+        lo = nearest if abs(x - nearest) <= EPS else ceil_(x)
+        x = (t - first) / period
+        nearest = round(x)
+        hi = nearest if abs(x - nearest) <= EPS else ceil_(x)
+        if lo + min_carry >= 0:
+            if hi == lo:
+                return lo * total + envelope[0]
+            if hi == lo + 1:
+                cut = bisect_left(phases, t - (lo + EPS) * period)
+                while cut and jobs(t, phases[cut - 1]) == lo:
+                    cut -= 1
+                while cut < m and jobs(t, phases[cut]) == hi:
+                    cut += 1
+                return lo * total + envelope[cut]
+        if not scalar:
+            scalar.append(
+                _max_of(tuple(compile_w_rows(r, kernel="scalar") for r in rows))
+            )
+        return scalar[0](t)
+
+    return w_star_envelope
 
 
 def starter_phase_of_analyzed(

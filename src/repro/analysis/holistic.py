@@ -204,6 +204,11 @@ def holistic_analysis(
     # for the rest of the analysis and only re-snapshot jitters per solve.
     projectors: dict[tuple[int, int], ViewProjector] = {}
     compile_caches: dict[tuple[int, int], dict] = {}
+    # Compiled W* closures of foreign views, shared by every task of this
+    # call: tasks that see one transaction at the same jitters project
+    # equal views.  Per call, not per process, so accounting never depends
+    # on what ran before.
+    star_cache: dict | None = {} if config.driver_cache else None
     platform_index = (
         ViewProjector.build_platform_index(work) if config.driver_cache else None
     )
@@ -241,7 +246,8 @@ def holistic_analysis(
         else:
             res = response_time_reduced(
                 work, i, j, config=config, views=views, bound=busy_bound,
-                compile_cache=cache, ceiling=ceiling,
+                compile_cache=cache, star_cache=star_cache,
+                ceiling=ceiling,
             )
         evaluations += res.evaluations
         return res.wcrt

@@ -56,11 +56,13 @@ class AnalysisConfig:
         the same least fixed point in fewer rounds).
     kernel:
         Interference-evaluation backend: ``"scalar"`` (the reference
-        Python closures), ``"vector"`` (NumPy array reductions over all
-        interfering jobs, Eq. 15 batched over starters) or ``"auto"``
-        (default -- per view, vector once the batch is large enough to
-        amortize NumPy dispatch; scalar otherwise or when NumPy is
-        missing).  Both kernels produce bit-identical job counts.
+        Python closures), ``"vector"`` (flat W rows as one NumPy
+        reduction; Eq. 15 as an exact step envelope over the view's
+        sorted phases, a few scalar operations per call) or ``"auto"``
+        (default -- per closure, vector once it covers at least
+        :data:`~repro.analysis.busy.VECTOR_MIN_JOBS` jobs; scalar
+        otherwise or when NumPy is missing).  Both kernels produce
+        identical job counts; sums may differ in the last ulp.
     incremental:
         Enable the chain-aware dirty-set fast path of the
         ``"gauss_seidel"`` outer update: a task is re-solved in a round

@@ -59,6 +59,7 @@ def response_time_reduced(
     views: tuple | None = None,
     bound: float | None = None,
     compile_cache: dict | None = None,
+    star_cache: dict | None = None,
     ceiling: float = float("inf"),
 ) -> ReducedResult:
     """Upper bound on the worst-case response time of task ``(a, b)`` (Eq. 16).
@@ -67,10 +68,13 @@ def response_time_reduced(
     others)`` triple (from a cached :class:`~repro.analysis.busy.ViewProjector`)
     so the outer holistic rounds skip re-projection; ``bound`` an already
     computed divergence bound; ``compile_cache`` a per-task dict the outer
-    rounds thread through so compiled W closures are rebuilt only when the
-    jitters they bake in actually moved; ``ceiling`` the verdict-mode
-    response ceiling (``wcrt`` is reported as ``inf`` as soon as any
-    scenario proves the response exceeds it -- see
+    rounds thread through so compiled scenario closures are rebuilt only
+    when the jitters they bake in actually moved; ``star_cache`` a dict
+    shared by every task of one analysis that maps a projected foreign
+    view to its compiled W* (views compare by value, so tasks seeing the
+    same transaction at the same jitters share one closure); ``ceiling``
+    the verdict-mode response ceiling (``wcrt`` is reported as ``inf`` as
+    soon as any scenario proves the response exceeds it -- see
     :func:`repro.analysis._scenario.solve_scenario`).
     """
     config = config or AnalysisConfig()
@@ -84,27 +88,24 @@ def response_time_reduced(
     # starter.  A view with a single interfering task degenerates (Eq. 15's
     # max over one candidate is the identity) into flat W rows that merge
     # with the own-view rows into one compiled closure per scenario; views
-    # with several starters keep their batched W*.  Across outer rounds the
-    # compiled closures are reused while the jitters they bake in are
-    # unchanged (phases and carries depend on nothing else that moves).
+    # with several starters keep their W*, compiled once per distinct view
+    # when a star cache is shared (phases and carries depend on nothing but
+    # the view, which carries the jitters).
     single = [v for v in others if len(v.tasks) == 1]
     multi = [v for v in others if len(v.tasks) > 1]
-    if compile_cache is None:
+    if star_cache is None:
         multi_w = tuple(
             compile_w_transaction_star(view, kernel=kernel) for view in multi
         )
     else:
         multi_list = []
         for view in multi:
-            state = tuple(hp.jitter for hp in view.tasks)
-            key = ("star", view.index)
-            hit = compile_cache.get(key)
-            if hit is not None and hit[0] == state:
-                multi_list.append(hit[1])
-            else:
-                fn = compile_w_transaction_star(view, kernel=kernel)
-                compile_cache[key] = (state, fn)
-                multi_list.append(fn)
+            fn = star_cache.get(view)
+            if fn is None:
+                fn = star_cache[view] = compile_w_transaction_star(
+                    view, kernel=kernel
+                )
+            multi_list.append(fn)
         multi_w = tuple(multi_list)
 
     worst = float("-inf")

@@ -17,6 +17,7 @@ from repro.analysis.schedulability import analyze
 from repro.model.system import TransactionSystem
 from repro.model.transaction import Transaction
 from repro.platforms.linear import LinearSupplyPlatform
+from repro.util.math import MAX_TIME_RATIO
 
 __all__ = ["critical_scaling_factor", "rate_slack", "delay_slack", "bisect_monotone"]
 
@@ -85,7 +86,10 @@ def critical_scaling_factor(
     def ok(factor: float) -> bool:
         return analyze(_scaled_system(system, factor), config=config).schedulable
 
-    return bisect_monotone(ok, 1e-6, hi, tol=tol)
+    # Scaling costs down raises the period/cost ratio; stay well inside the
+    # range TransactionSystem.validate accepts.
+    lo = max(1e-6, 2.0 * system.time_ratio() / MAX_TIME_RATIO)
+    return bisect_monotone(ok, lo, hi, tol=tol)
 
 
 def _with_platform(

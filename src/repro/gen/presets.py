@@ -27,7 +27,8 @@ down where the PR 2 performance layers pay off --
 * :func:`wide_view_spec` -- everything on one platform with 10-14 tasks
   per transaction: every foreign transaction view batches well past
   :data:`repro.analysis.busy.VECTOR_MIN_JOBS` (starters x tasks), so
-  ``kernel="auto"`` selects the NumPy vector kernel;
+  ``kernel="auto"`` evaluates Eq. 15 with the vector kernel's step
+  envelope;
 * :func:`independent_tasks_spec` -- single-task transactions only: the
   regime where the verdict-mode sufficient pre-filter (capped-jitter
   response bound, see :mod:`repro.analysis.schedulability`) classifies
@@ -82,11 +83,13 @@ def wide_view_spec(utilization: float = 0.5) -> RandomSystemSpec:
     """Wide interference views: 3 transactions of 10-14 tasks, 1 platform.
 
     Co-locating everything on a single platform makes every foreign
-    transaction view 10-14 tasks wide; the starter-batched Eq. 15
-    evaluation then covers ``(starters x tasks) >= 100`` jobs per call,
-    comfortably past the ``kernel="auto"`` vector threshold
+    transaction view 10-14 tasks wide; its Eq. 15 bound then covers
+    ``(starters x tasks) >= 100`` jobs per call, comfortably past the
+    ``kernel="auto"`` vector threshold
     (:data:`repro.analysis.busy.VECTOR_MIN_JOBS`), so campaigns over this
-    preset default onto the NumPy kernel.
+    preset evaluate W* with the vector kernel's step envelope.  Tasks
+    that see one foreign transaction at the same jitters share its
+    compiled W* within an analysis, so W* compiles once per distinct view.
     """
     return RandomSystemSpec(
         n_platforms=1,

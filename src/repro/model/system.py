@@ -14,6 +14,7 @@ from typing import Any, Iterator, Protocol, Sequence, runtime_checkable
 
 from repro.model.task import Task
 from repro.model.transaction import Transaction
+from repro.util.math import EPS, MAX_TIME_RATIO
 
 __all__ = ["PlatformLike", "TransactionSystem"]
 
@@ -79,13 +80,19 @@ class TransactionSystem:
     # -- validation ---------------------------------------------------------------
 
     def validate(self) -> None:
-        """Check platform indices and per-platform utilization sanity.
+        """Check the structure and the time scale of the system.
 
-        Raises :class:`ValueError` when a task addresses a platform outside
-        the platform list.  Over-utilized platforms are legal (the analysis
-        will simply find the system unschedulable) so only a structural check
-        is performed here.
+        Raises :class:`ValueError` when there is no transaction, when a task
+        addresses a platform outside the platform list, or when the longest
+        period exceeds :data:`~repro.util.math.MAX_TIME_RATIO` times the
+        shortest rate-scaled execution time (:meth:`time_ratio`): the
+        analysis resolves a period-T transaction only to ``EPS * T``, and
+        beyond the bound its bounds silently turn unsound.  Over-utilized
+        platforms are legal (the analysis will simply find the system
+        unschedulable).
         """
+        if not self.transactions:
+            raise ValueError("a system needs at least one transaction")
         m = len(self.platforms)
         for tr in self.transactions:
             for k, task in enumerate(tr.tasks):
@@ -94,6 +101,23 @@ class TransactionSystem:
                         f"{tr.name or 'transaction'} task {k} maps to platform "
                         f"{task.platform} but only {m} platforms are defined"
                     )
+        ratio = self.time_ratio()
+        if ratio > MAX_TIME_RATIO:
+            i, tr = max(enumerate(self.transactions), key=lambda it: it[1].period)
+            raise ValueError(
+                f"{tr.name or f'transaction {i}'}: period {tr.period:g} is "
+                f"{ratio:.3g} times the shortest execution time (wcet/rate) "
+                f"of the system, above the {MAX_TIME_RATIO:g} the analysis "
+                f"resolves (job counts snap at {EPS:g} x period)"
+            )
+
+    def time_ratio(self) -> float:
+        """Longest period over the shortest rate-scaled execution time."""
+        rates = [p.rate for p in self.platforms]
+        shortest = min(
+            t.wcet / rates[t.platform] for tr in self.transactions for t in tr
+        )
+        return max(tr.period for tr in self.transactions) / shortest
 
     # -- container conveniences ----------------------------------------------------
 

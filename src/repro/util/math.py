@@ -7,12 +7,14 @@ boundaries.  With plain floating point, ``math.ceil(0.30000000000000004 /
 the last bit.  All quantities in this library therefore go through the
 epsilon-guarded helpers below.
 
-The guard :data:`EPS` is an *absolute* tolerance.  Task periods and execution
-times in the paper (and in the generators of :mod:`repro.gen`) live in the
-range ``1e-3 .. 1e6``; an absolute guard of ``1e-9`` is at least six orders
-of magnitude below any meaningful difference while being far above the
-accumulated rounding error of the handful of additions a single fixed-point
-iteration performs.
+The guard :data:`EPS` is an *absolute* tolerance, far above the accumulated
+rounding error of the handful of additions a single fixed-point iteration
+performs.  Job counts snap ``(t - phi) / T`` at ``EPS``, so a transaction of
+period ``T`` is resolved only to ``EPS * T`` time units: what bounds the
+safe range is the *ratio* of time scales within one system, not their
+magnitude.  :meth:`repro.model.system.TransactionSystem.validate` rejects a
+system whose longest period exceeds :data:`MAX_TIME_RATIO` times its shortest
+rate-scaled execution time.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import math
 
 __all__ = [
     "EPS",
+    "MAX_TIME_RATIO",
     "ceil_div",
     "floor_div",
     "fceil",
@@ -34,6 +37,13 @@ __all__ = [
 
 #: Absolute tolerance used by every epsilon-guarded comparison in the library.
 EPS: float = 1e-9
+
+#: Largest ratio of a system's longest period to its shortest rate-scaled
+#: execution time (C / alpha) the analysis accepts: a period-T transaction
+#: is resolved to ``EPS * T``, which the bound keeps at half the shortest
+#: execution time or finer.  The random generators stay below it by
+#: construction (1e-6 WCET floor, rates <= 0.8, periods <= 500: 4e8).
+MAX_TIME_RATIO: float = 0.5 / EPS
 
 
 def fceil(x: float) -> int:

@@ -49,6 +49,15 @@ class TestCriticalScaling:
         s = TransactionSystem(transactions=[t1, t2], platforms=[DedicatedPlatform()])
         assert critical_scaling_factor(s, tol=1e-3) < 1.0
 
+    def test_search_stays_within_resolvable_time_scale(self):
+        # Scaled by the 1e-6 floor of the search, this period/cost ratio of
+        # 1e4 would leave the range TransactionSystem.validate accepts.
+        t1 = Transaction(period=10.0, tasks=[Task(wcet=4.0, platform=0, priority=2)])
+        t2 = Transaction(period=1e4, tasks=[Task(wcet=1.0, platform=0, priority=1)])
+        s = TransactionSystem(transactions=[t1, t2], platforms=[DedicatedPlatform()])
+        assert s.time_ratio() == pytest.approx(1e4)
+        assert 2.0 < critical_scaling_factor(s, tol=1e-3) < 2.5
+
 
 class TestSlacks:
     def test_rate_slack_below_current(self):

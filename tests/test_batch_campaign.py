@@ -41,6 +41,16 @@ def small_spec(**overrides) -> CampaignSpec:
     return CampaignSpec(**kwargs)
 
 
+def _wait_until(condition, timeout: float = 10.0) -> None:
+    """Poll *condition* until it holds or *timeout* seconds pass (the
+    caller's assertions then report what did not happen)."""
+    import time as _time
+
+    deadline = _time.monotonic() + timeout
+    while not condition() and _time.monotonic() < deadline:
+        _time.sleep(0.005)
+
+
 class TestSpec:
     def test_grid_counts(self):
         spec = small_spec(methods=("reduced", "dedicated"))
@@ -815,6 +825,7 @@ class TestHeartbeatAndChains:
 
         monkeypatch.setattr(campaign_mod.os, "replace", flaky)
         _time.sleep(0.1)  # every beat in this window fails
+        _wait_until(lambda: hb.failed_beats >= 1)  # a starved thread too
         monkeypatch.setattr(campaign_mod.os, "replace", real_replace)
         hb.bump(7)  # recovery: progress published immediately
         _time.sleep(0.08)
@@ -839,8 +850,16 @@ class TestHeartbeatAndChains:
         hb = _HeartbeatWriter(parent / "beat.json", 0.02)
         hb.start()
         _time.sleep(0.06)
-        shutil.rmtree(parent)
-        _time.sleep(0.06)  # first beat after the rmtree fails, recreates
+        # A beat can drop its temp file into the directory while rmtree
+        # empties it ("Directory not empty"): retry like a cleaner would.
+        for _ in range(100):
+            shutil.rmtree(parent, ignore_errors=True)
+            if not parent.exists():
+                break
+        # The first beat after the removal fails and recreates the
+        # directory; wait for it rather than for a fixed time, so a
+        # starved beat thread cannot turn this into a race.
+        _wait_until(lambda: hb.failed_beats >= 1 and parent.is_dir())
         hb.bump(3)
         _time.sleep(0.06)
         hb.stop()

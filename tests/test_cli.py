@@ -45,6 +45,19 @@ class TestAnalyze:
         assert main(["analyze", unschedulable_file]) == 1
         assert "NO" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("edit", ["no_transactions", "unresolvable"])
+    def test_degenerate_system_exit_two(self, tmp_path, capsys, edit):
+        data = system_to_dict(sensor_fusion_system())
+        if edit == "no_transactions":
+            data["transactions"] = []
+        else:
+            data["transactions"][0]["period"] = 2e9
+        path = tmp_path / "system.json"
+        path.write_text(json.dumps(data))
+        assert main(["analyze", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_missing_file_exit_two(self, capsys):
         assert main(["analyze", "/nonexistent/sys.json"]) == 2
         assert "error" in capsys.readouterr().err

@@ -18,7 +18,10 @@ Two layers of protection for the throughput numbers the ROADMAP tracks:
 
 ``BENCH_startup.json`` (``benchmarks/bench_startup.py``) is schema-checked
 too; its gates are on the recorded module counts only -- the startup
-walls depend on the machine and are not gated.
+walls depend on the machine and are not gated.  So is
+``BENCH_layers.json`` (``benchmarks/bench_layers.py``), gated on its
+counters only: equal evaluations across kernels and fewer W* compiles
+than the recorded baseline.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from repro.batch import Campaign, CampaignSpec, linspace_levels
 ROOT = Path(__file__).resolve().parent.parent
 BENCH = ROOT / "BENCH_campaign.json"
 STARTUP_BENCH = ROOT / "BENCH_startup.json"
+LAYERS_BENCH = ROOT / "BENCH_layers.json"
 
 #: Fields every run entry of the bench JSON must carry.
 RUN_FIELDS = {
@@ -305,3 +309,63 @@ class TestStartupBench:
         assert not shard["networkx"] and before["networkx"]
         assert shard["modules"] <= 0.6 * before["modules"]
         assert shard["repro_modules"] < before["repro_modules"]
+
+
+#: Closure sizes ``benchmarks/bench_layers.py`` times: rows per
+#: ``compile_w_rows`` closure and tasks per ``compile_w_transaction_star``
+#: view.
+LAYER_SIZES = {
+    "rows": {"4", "8", "16", "24", "32", "64", "128"},
+    "star": {"2", "3", "4", "5", "6", "8", "10", "12", "14"},
+}
+
+#: Fields of each kernel's wide-view campaign record.
+LAYER_CAMPAIGN_FIELDS = {"wall_time_s", "systems", "systems_per_second",
+                         "evaluations_total", "outer_iterations_total",
+                         "star_compiles"}
+
+
+class TestLayersBench:
+    @pytest.fixture(scope="class")
+    def layers(self) -> dict:
+        return json.loads(LAYERS_BENCH.read_text())
+
+    def test_schema(self, layers):
+        assert {
+            "description", "python", "cpu", "cpus", "quick", "numpy",
+            "interference", "campaign", "baseline", "speedup",
+        } <= set(layers)
+        assert not layers["quick"]
+        for tree in (layers, layers["baseline"]):
+            layer = tree["interference"]
+            for name, sizes in LAYER_SIZES.items():
+                for kernel in ("scalar", "vector"):
+                    records = layer[name][kernel]
+                    assert set(records) == sizes
+                    for record in records.values():
+                        assert record["eval_ns"] > 0
+                        assert record["compile_us"] > 0
+            assert set(layer["crossover_jobs"]) == {"rows", "star"}
+            assert layer["VECTOR_MIN_JOBS"] > 0
+            for kernel in ("scalar", "vector"):
+                run = tree["campaign"][kernel]
+                assert LAYER_CAMPAIGN_FIELDS <= set(run)
+                assert run["systems"] > 0 and run["wall_time_s"] > 0
+
+    def test_kernels_do_the_same_work(self, layers):
+        for tree in (layers, layers["baseline"]):
+            runs = tree["campaign"]
+            for counter in ("evaluations_total", "outer_iterations_total"):
+                assert runs["scalar"][counter] == runs["vector"][counter]
+        # ... and the same work as the baseline.
+        assert (
+            layers["campaign"]["vector"]["evaluations_total"]
+            == layers["baseline"]["campaign"]["vector"]["evaluations_total"]
+        )
+
+    def test_fewer_star_compiles_than_baseline(self, layers):
+        for kernel in ("scalar", "vector"):
+            assert (
+                layers["campaign"][kernel]["star_compiles"]
+                < layers["baseline"]["campaign"][kernel]["star_compiles"]
+            )

@@ -203,6 +203,24 @@ class TestAnalyze:
             assert response.status == 400
             assert "does not parse" in response.json()["detail"][0]
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            ("no_transactions", "at least one transaction"),
+            ("unresolvable", "Gamma1: period"),
+        ],
+    )
+    def test_degenerate_system_400(self, edit, message):
+        system = system_to_dict(sensor_fusion_system())
+        if edit == "no_transactions":
+            system["transactions"] = []
+        else:
+            system["transactions"][0]["period"] = 2e9
+        with make_client() as client:
+            response = client.post("/analyze", json={"system": system})
+            assert response.status == 400
+            assert message in response.json()["detail"][0]
+
 
 class TestCampaignJobs:
     def test_submit_poll_result(self, tmp_path):
