@@ -1,8 +1,11 @@
-"""Fresh-interpreter startup cost of the package's entry points.
+"""Start-up cost of the package's entry points and of a dispatched shard.
 
-Every dispatched shard is a new ``python -m repro campaign --shard k/n``
-process, so what an interpreter loads before its first cell is a fixed
-cost each shard pays.  This benchmark times fresh interpreters:
+A dispatched shard's fixed cost is what it pays before its first cell.
+Local shards fork from one warm per-dispatch zygote
+(:mod:`repro.batch.zygote`), which pays interpreter start and the
+campaign engine's imports once; ssh shards, and local shards before the
+zygote, are fresh ``python -m repro campaign --shard k/n`` processes.
+This benchmark times both.  Fresh interpreters, spawn to exit:
 
 * ``python`` -- ``python -c pass``, the interpreter's own floor;
 * ``import_repro`` -- ``python -c "import repro"``;
@@ -11,20 +14,29 @@ cost each shard pays.  This benchmark times fresh interpreters:
 * ``shard`` -- a one-chain ``python -m repro campaign --shard 0/1``
   (one system over 14 utilization levels, verdict mode).
 
-Each wall is the median of interleaved repeats (command by command, so
-every command samples the same machine phases) of the whole process,
-spawn to exit.  Beside each wall it records what the process loaded:
-the module count, the ``repro.*`` module count and whether NumPy and
+Beside each of those walls it records what the process loaded: the
+module count, the ``repro.*`` module count and whether NumPy and
 networkx were imported -- counted once, in a separate run that dumps
-``sys.modules`` at exit, so the count never perturbs the walls.
+``sys.modules`` at exit, so the count never perturbs the walls.  Timed
+inside a helper interpreter (its own start excluded):
 
-``--baseline DIR`` times another checkout's ``DIR/src`` interleaved with
-this one and records its numbers and the speedups beside them.  The
+* ``zygote_start`` -- a zygote's start, from launch to ready;
+* ``forked_shard`` -- the same one-chain shard forked from that warm
+  zygote, launch to exit, next to the cold ``shard``;
+* ``dispatch_4x2`` -- ``CampaignDispatcher.run()`` with 4 shards on 2
+  local slots over the shard's spec at 4 replicates (one chain per
+  shard), zygote start included, polling every 50 ms.
+
+Each wall is the median of interleaved repeats (command by command, so
+every command samples the same machine phases).  ``--baseline DIR``
+times another checkout's ``DIR/src`` interleaved with this one and
+records its numbers and the speedups beside them; a tree without a
+zygote records only ``dispatch_4x2`` of the three launch walls.  The
 interpreter's own settings are inherited, not overridden; whether it
-writes bytecode caches is recorded, because without them every start
-compiles the package's sources again.
+writes bytecode caches is recorded, because without them every cold
+start compiles the package's sources again.
 
-Run:  python benchmarks/bench_startup.py [--baseline DIR]
+Run:  python benchmarks/bench_startup.py [--baseline DIR] [--quick]
 Writes ``BENCH_startup.json`` at the repository root.
 """
 
@@ -44,8 +56,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 BENCH_JSON = ROOT / "BENCH_startup.json"
 
-#: Interleaved repeats per command and tree.
+#: Interleaved repeats per command and tree (``--quick``: QUICK_REPEATS).
 REPEATS = 15
+QUICK_REPEATS = 3
 
 #: Runs ``python -m repro ARGS`` in-process, then prints the loaded
 #: module set as JSON.
@@ -60,6 +73,45 @@ print(json.dumps(sorted(sys.modules)))
 """
 
 _DUMP_IMPORT = "import json, sys, {module}; print(json.dumps(sorted(sys.modules)))"
+
+#: Starts a zygote, forks ``python -m repro ARGS`` from it, and prints
+#: ``[start, launch-to-exit]`` seconds; argv[1] is the work dir.
+_ZYGOTE = """
+import json, os, sys, time
+from pathlib import Path
+from repro.batch.zygote import Zygote
+work = Path(sys.argv[1])
+t0 = time.perf_counter()
+zygote = Zygote(dict(os.environ), work / "zygote.log")
+t1 = time.perf_counter()
+proc = zygote.launch([sys.executable, "-m", "repro", *sys.argv[2:]],
+                     dict(os.environ), work / "forked.log")
+code = proc.wait()
+t2 = time.perf_counter()
+zygote.close()
+assert code == 0, code
+print(json.dumps([t1 - t0, t2 - t1]))
+"""
+
+#: Prints the wall of a 4-shard, 2-slot dispatch into work dir argv[1].
+_DISPATCH = """
+import json, sys, time
+from repro.batch import CampaignDispatcher, CampaignSpec, linspace_levels
+spec = CampaignSpec(
+    grid={"utilization": linspace_levels(0.30, 0.95, 14)},
+    base={"n_platforms": 3, "n_transactions": 4,
+          "tasks_per_transaction": (2, 4)},
+    methods=("verdict",), systems_per_cell=4, seed=11,
+)
+t0 = time.perf_counter()
+CampaignDispatcher(spec, shards=4, workers=2, work_dir=sys.argv[1],
+                   poll_interval=0.05, poll_max=0.05).run()
+print(json.dumps(time.perf_counter() - t0))
+"""
+
+#: The launch walls, and whether a tree without a zygote has them.
+LAUNCHES = {"zygote_start": False, "forked_shard": False,
+            "dispatch_4x2": True}
 
 
 def _commands(work: Path) -> dict[str, tuple[list[str], list[str]]]:
@@ -100,6 +152,19 @@ def _wall(argv: list[str], src: Path) -> float:
     return time.perf_counter() - t0
 
 
+def _timed(script: str, args: list[str], src: Path):
+    """The JSON a timing *script* prints (it times itself)."""
+    out = subprocess.run(
+        [sys.executable, "-c", script, *args], env=_env(src),
+        capture_output=True, text=True, timeout=300, check=True,
+    )
+    return json.loads(out.stdout.strip().splitlines()[-1])
+
+
+def _has_zygote(src: Path) -> bool:
+    return (src / "repro" / "batch" / "zygote.py").exists()
+
+
 def _modules(argv: list[str], src: Path) -> dict:
     out = subprocess.run(
         [sys.executable, *argv], env=_env(src), capture_output=True,
@@ -134,27 +199,53 @@ def _summary(walls: list[float]) -> dict:
     }
 
 
-def measure(trees: dict[str, Path]) -> dict[str, dict]:
+def measure(trees: dict[str, Path], repeats: int) -> dict[str, dict]:
     """``tree -> command -> record`` over interleaved repeats."""
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         commands = _commands(work)
-        walls = {t: {c: [] for c in commands} for t in trees}
-        for _ in range(REPEATS):
+        shard_args = commands["shard"][0][2:]
+        launches = {
+            tree: [
+                name for name, without_zygote in LAUNCHES.items()
+                if without_zygote or _has_zygote(src)
+            ]
+            for tree, src in trees.items()
+        }
+        walls = {
+            t: {c: [] for c in [*commands, *launches[t]]} for t in trees
+        }
+        for k in range(repeats):
             for name, (argv, _dump) in commands.items():
                 for tree, src in trees.items():
                     walls[tree][name].append(_wall(argv, src))
+            for tree, src in trees.items():
+                if "forked_shard" in launches[tree]:
+                    start, forked = _timed(_ZYGOTE, [tmp, *shard_args], src)
+                    walls[tree]["zygote_start"].append(start)
+                    walls[tree]["forked_shard"].append(forked)
+            for tree, src in trees.items():
+                wd = str(work / f"dispatch_{tree}_{k}")
+                walls[tree]["dispatch_4x2"].append(
+                    _timed(_DISPATCH, [wd], src)
+                )
         return {
             tree: {
-                name: {
-                    "argv": [
-                        "python",
-                        *(a.replace(f"{work}{os.sep}", "") for a in argv),
-                    ],
-                    **_summary(walls[tree][name]),
-                    **_modules(dump, src),
-                }
-                for name, (argv, dump) in commands.items()
+                **{
+                    name: {
+                        "argv": [
+                            "python",
+                            *(a.replace(f"{work}{os.sep}", "") for a in argv),
+                        ],
+                        **_summary(walls[tree][name]),
+                        **_modules(dump, src),
+                    }
+                    for name, (argv, dump) in commands.items()
+                },
+                **{
+                    name: _summary(walls[tree][name])
+                    for name in launches[tree]
+                },
             }
             for tree, src in trees.items()
         }
@@ -170,36 +261,46 @@ def main(argv=None) -> int:
         "--out", type=Path, default=BENCH_JSON, metavar="PATH",
         help="where to write the bench JSON (default: repo root)",
     )
+    parser.add_argument(
+        "--quick", action="store_true",
+        help=f"{QUICK_REPEATS} repeats instead of {REPEATS} (a smoke run)",
+    )
     args = parser.parse_args(argv)
+    repeats = QUICK_REPEATS if args.quick else REPEATS
     trees = {"current": ROOT / "src"}
     if args.baseline is not None:
         trees["baseline"] = args.baseline.resolve() / "src"
-    results = measure(trees)
+    results = measure(trees, repeats)
     payload = {
         "description": "fresh-interpreter walls (median of interleaved "
         "repeats, spawn to exit) and loaded-module counts of the entry "
-        "points; see benchmarks/bench_startup.py",
+        "points, plus zygote start, forked-shard and 4x2 dispatch walls; "
+        "see benchmarks/bench_startup.py",
         "python": platform.python_version(),
         "cpu": _cpu_model(),
         "cpus": os.cpu_count(),
         "dont_write_bytecode": sys.dont_write_bytecode,
-        "repeats": REPEATS,
+        "quick": args.quick,
+        "repeats": repeats,
         "commands": results["current"],
     }
     if "baseline" in results:
         payload["baseline"] = results["baseline"]
         payload["speedup"] = {
-            name: results["baseline"][name]["wall_s"] / record["wall_s"]
-            for name, record in results["current"].items()
+            name: record["wall_s"] / results["current"][name]["wall_s"]
+            for name, record in results["baseline"].items()
         }
     args.out.write_text(json.dumps(payload, indent=2) + "\n")
     for tree, records in results.items():
         for name, record in records.items():
+            loaded = (
+                f"  {record['modules']:4d} modules, "
+                f"{record['repro_modules']:3d} repro.*"
+                if "modules" in record else ""
+            )
             print(
                 f"{tree:8s} {name:12s} {record['wall_s'] * 1e3:8.1f} ms "
-                f"(IQR {record['wall_s_iqr'] * 1e3:5.1f})  "
-                f"{record['modules']:4d} modules, "
-                f"{record['repro_modules']:3d} repro.*"
+                f"(IQR {record['wall_s_iqr'] * 1e3:5.1f}){loaded}"
             )
     print(f"written {args.out}")
     return 0

@@ -66,12 +66,16 @@ deterministic faults (kill at cell N, hang, heartbeat drop, corrupt
 output, exit nonzero) to chosen shard attempts through the
 :data:`repro.batch.faults.FAULT_ENV` environment variable.
 
-Shard subprocesses are plain ``python -m repro campaign --spec ...
---shard i/n`` invocations, launched through a pluggable *backend*:
-:class:`LocalBackend` (subprocesses on this machine, the tested default)
-or :class:`SshBackend` (a thin command template prefixing ``ssh <host>``
-per worker slot; it is trivially mockable in tests).  The CLI front end
-is ``python -m repro campaign-dispatch``.
+Every shard attempt is one ``python -m repro campaign --spec ...
+--shard i/n`` command line, launched through a pluggable *backend*.
+:class:`LocalBackend` (the local host, the tested default) runs it in a
+child forked from one warm per-dispatch zygote
+(:mod:`repro.batch.zygote`), so a shard skips interpreter start-up and
+the campaign engine's imports; :class:`SshBackend` (a thin command
+template prefixing ``ssh <host>`` per worker slot; it is trivially
+mockable in tests) runs it as a subprocess.  Either way an attempt is
+one killable process with its own pid, log and exit status.  The CLI
+front end is ``python -m repro campaign-dispatch``.
 
 File movement between the dispatcher and its workers goes through a
 pluggable *transport* (:mod:`repro.batch.transport`):
@@ -117,6 +121,7 @@ from repro.batch.campaign import (
 )
 from repro.batch.faults import FAULT_ENV, FaultPlan
 from repro.batch.transport import CopyBackTransport, SharedDirTransport
+from repro.batch.zygote import ForkedShard, Zygote
 
 __all__ = [
     "CampaignDispatcher",
@@ -292,7 +297,18 @@ class DispatchReport:
 
 
 class LocalBackend:
-    """Launch shard commands as subprocesses on this machine."""
+    """Fork shard commands on the local host from one warm zygote.
+
+    The first launch starts a :class:`~repro.batch.zygote.Zygote` (its
+    log is ``zygote.log`` beside the shard logs) that imports a shard's
+    module set once; every launch forks a child of it that runs the
+    ``python -m repro ...`` command line in-process and returns a
+    Popen-shaped :class:`~repro.batch.zygote.ForkedShard`.
+    :meth:`close` shuts the zygote down; a closed backend, or one whose
+    zygote died, starts a new one on its next launch.
+    """
+
+    _zygote: Zygote | None = None
 
     def host_of(self, slot: int) -> str:
         """Failure-domain label of a slot: all local slots share one."""
@@ -306,15 +322,21 @@ class LocalBackend:
         slot: int,
         log_path: Path,
         env: dict | None = None,
-    ) -> subprocess.Popen:
+    ) -> ForkedShard:
         del slot  # local slots are interchangeable
-        log = open(log_path, "ab")
-        try:
-            return subprocess.Popen(
-                list(argv), stdout=log, stderr=subprocess.STDOUT, env=env
+        if self._zygote is None or not self._zygote.alive:
+            self._zygote = Zygote(
+                _child_env(), Path(log_path).parent / "zygote.log"
             )
-        finally:
-            log.close()  # the child holds its own descriptor
+        return self._zygote.launch(
+            argv, dict(os.environ) if env is None else env, log_path
+        )
+
+    def close(self) -> None:
+        """Shut the zygote down, with any child it still holds."""
+        if self._zygote is not None:
+            self._zygote.close()
+            self._zygote = None
 
 
 class SshBackend:
@@ -528,7 +550,7 @@ class HostHealth:
 @dataclass
 class _Running:
     record: ShardRecord
-    proc: subprocess.Popen
+    proc: subprocess.Popen | ForkedShard
     slot: int
     started: float
     #: Wall-clock budget for this attempt (None = unlimited).
@@ -613,16 +635,10 @@ class CampaignDispatcher:
         cost into sub-shards resumed from its checkpoint -- the merged
         union stays bit-identical because the partition is
         chain-granular.
-    inject_kills:
-        Deterministic fault injection for tests and drills: shard index
-        -> cell budget for its *first* attempt (the subprocess truncates
-        there via ``--max-cells``, exactly like a kill after N cells, and
-        the dispatcher must recover it through ``--resume``).
     faults:
         A :class:`repro.batch.faults.FaultPlan` delivered to matching
-        shard attempts through the environment -- the richer
-        fault-injection surface (kill/hang/heartbeat-drop/corrupt/exit
-        at exact cell boundaries).
+        shard attempts through the environment (kill/hang/heartbeat-drop/
+        corrupt/exit at exact cell boundaries).
     shard_args:
         Extra argv appended to every shard command line.  Flags the
         dispatcher builds itself (``--spec``, ``--shard``, ``--json``,
@@ -680,7 +696,6 @@ class CampaignDispatcher:
         backoff_max: float = 60.0,
         split_after: float | None = None,
         shard_args: Sequence[str] = (),
-        inject_kills: dict[int, int] | None = None,
         faults: FaultPlan | None = None,
         store: str | Path | None = None,
         transport: SharedDirTransport | CopyBackTransport | None = None,
@@ -746,7 +761,6 @@ class CampaignDispatcher:
         self.backoff_max = backoff_max
         self.split_after = split_after
         self.shard_args = shard_args
-        self.inject_kills = dict(inject_kills or {})
         self.faults = faults
         self.store = Path(store) if store is not None else None
         self.transport = (
@@ -782,7 +796,8 @@ class CampaignDispatcher:
 
     #: Flags every shard command line already carries (or that the
     #: dispatcher may append); a duplicate from ``shard_args`` would make
-    #: the child's argument parsing fail on every attempt.
+    #: the child's argument parsing fail on every attempt, and
+    #: ``--max-cells`` would truncate every attempt.
     _OWNED_FLAGS = frozenset({
         "--spec", "--shard", "--partition", "--workers", "--json",
         "--checkpoint", "--checkpoint-every", "--resume", "--max-cells",
@@ -862,9 +877,7 @@ class CampaignDispatcher:
             )
         return records
 
-    def _command(
-        self, record: ShardRecord, *, first: bool, host: str = "local"
-    ) -> list[str]:
+    def _command(self, record: ShardRecord, host: str = "local") -> list[str]:
         # Worker-side paths are transport-addressed: on a shared-dir
         # transport they are the dispatcher's own paths, on a copy-back
         # transport they live in the host's work dir (inputs staged out
@@ -903,8 +916,6 @@ class CampaignDispatcher:
         if resume is not None:
             argv += ["--resume", wp(resume)]
             record.resumed_attempts += 1
-        if first and record.parent is None and record.shard in self.inject_kills:
-            argv += ["--max-cells", str(self.inject_kills[record.shard])]
         return argv + self.shard_args
 
     # -- crash-consistent reads --------------------------------------------
@@ -1152,7 +1163,7 @@ class CampaignDispatcher:
         )
         #: Shard id -> monotonic time before which it may not relaunch.
         ready_at: dict[int, float] = {}
-        env = self._child_env()
+        env = _child_env()
         running: dict[int, _Running] = {}
         # Shard results are folded into the merger the moment their shard
         # completes and dropped; only the accumulating union stays in
@@ -1266,9 +1277,7 @@ class CampaignDispatcher:
                     launch_env = dict(env)
                     launch_env[FAULT_ENV] = payload
             proc = self.backend.launch(
-                self._command(
-                    record, first=record.attempts == 1, host=host
-                ),
+                self._command(record, host=host),
                 slot=slot,
                 log_path=self._log_path(record.shard),
                 env=launch_env,
@@ -1507,6 +1516,9 @@ class CampaignDispatcher:
             interrupted = exc
         finally:
             self._reap(running)
+            close = getattr(self.backend, "close", None)
+            if callable(close):
+                close()
 
         if interrupted is not None:
             partial = merger.finish()
@@ -1569,15 +1581,16 @@ class CampaignDispatcher:
                 active.proc.wait()
         running.clear()
 
-    def _child_env(self) -> dict:
-        """Child env that can import ``repro`` even without installation."""
-        import repro
 
-        env = dict(os.environ)
-        pkg_root = str(Path(repro.__file__).resolve().parent.parent)
-        existing = env.get("PYTHONPATH", "")
-        if pkg_root not in existing.split(os.pathsep):
-            env["PYTHONPATH"] = (
-                pkg_root + (os.pathsep + existing if existing else "")
-            )
-        return env
+def _child_env() -> dict:
+    """Child env that can import ``repro`` even without installation."""
+    import repro
+
+    env = dict(os.environ)
+    pkg_root = str(Path(repro.__file__).resolve().parent.parent)
+    existing = env.get("PYTHONPATH", "")
+    if pkg_root not in existing.split(os.pathsep):
+        env["PYTHONPATH"] = (
+            pkg_root + (os.pathsep + existing if existing else "")
+        )
+    return env

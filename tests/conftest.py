@@ -58,6 +58,7 @@ _NUMPY_TEST_FILES = [
     "test_verdict_parity.py",
     "test_viz.py",
     "test_warm_start.py",
+    "test_zygote.py",
 ]
 
 collect_ignore = [] if _HAVE_NUMPY else list(_NUMPY_TEST_FILES)

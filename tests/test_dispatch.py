@@ -24,6 +24,8 @@ from repro.batch import (
     CampaignResult,
     CampaignSpec,
     DispatchError,
+    Fault,
+    FaultPlan,
     LocalBackend,
     SshBackend,
 )
@@ -63,7 +65,8 @@ class TestDispatchEquivalence:
             cost_manifest=full.chain_costs,
             work_dir=tmp_path,
             checkpoint_every=2,
-            inject_kills={1: 3},  # shard 1 dies after 3 cells, once
+            # Shard 1 is SIGKILLed after 3 cells, on its first attempt.
+            faults=FaultPlan([Fault(shard=1, kind="kill", at_cell=3)]),
         )
         report = dispatcher.run()
         assert report.result.metrics() == full.metrics()

@@ -67,10 +67,10 @@ def single_run() -> CampaignResult:
 
 
 class _RecordingBackend(LocalBackend):
-    """Remember every child Popen so tests can assert none is left alive."""
+    """Remember every child handle so tests can assert none is left alive."""
 
     def __init__(self):
-        self.procs: list[subprocess.Popen] = []
+        self.procs: list = []
 
     def launch(self, argv, *, slot, log_path, env=None):
         proc = super().launch(argv, slot=slot, log_path=log_path, env=env)
@@ -237,6 +237,9 @@ class TestStragglerSplitting:
         report = dispatch(
             spec, tmp_path, backend=backend,
             shards=1, workers=2, split_after=0.2,
+            # The straggler's first attempt hangs after one cell, so it
+            # holds its slot past split_after however fast shards start.
+            faults=FaultPlan([Fault(shard=0, kind="hang", at_cell=1)]),
         )
         assert report.splits >= 1
         parent = next(s for s in report.shards if s.shard == 0)
@@ -280,6 +283,12 @@ class TestGracefulShutdown:
 
         pkg_root = str(Path(repro.__file__).resolve().parent.parent)
         env["PYTHONPATH"] = pkg_root + os.pathsep + env.get("PYTHONPATH", "")
+        # Every shard inherits the plan from the dispatcher's env and
+        # hangs after one cell, so the dispatch is still running at the
+        # SIGINT however fast shards start.
+        env[FAULT_ENV] = FaultPlan(
+            [Fault(shard=0, kind="hang", at_cell=1)]
+        ).for_worker(0, 1)
         argv = [
             sys.executable, "-m", "repro", "campaign-dispatch",
             "--grid", "utilization=0.2,0.4,0.5,0.6,0.7,0.8,0.9",
@@ -304,6 +313,7 @@ class TestGracefulShutdown:
                 time.sleep(0.1)
             assert proc.poll() is None, proc.communicate()
             time.sleep(0.3)  # let some shard work happen
+            family = _descendants(proc.pid)
             proc.send_signal(signal.SIGINT)
             _, err = proc.communicate(timeout=60)
         finally:
@@ -317,24 +327,57 @@ class TestGracefulShutdown:
         partial = CampaignResult.load_json(work_dir / "partial.json")
         spec_dict = json.loads((work_dir / "spec.json").read_text())
         assert partial.spec == spec_dict
-        # Zero orphans: no process still references this dispatch's spec.
-        spec_path = str(work_dir / "spec.json")
-        lingering = []
-        for pid in os.listdir("/proc"):
-            if not pid.isdigit():
-                continue
-            try:
-                cmdline = (
-                    Path(f"/proc/{pid}/cmdline")
-                    .read_bytes()
-                    .decode(errors="replace")
-                    .replace("\0", " ")
-                )
-            except OSError:
-                continue
-            if spec_path in cmdline:
-                lingering.append((pid, cmdline))
+        # Zero orphans: the dispatcher's descendants at the SIGINT -- its
+        # zygote and the shards forked from it -- are all gone.
+        zygotes = [
+            pid for pid, (ppid, _start, cmdline) in family.items()
+            if ppid == proc.pid and b"repro.batch.zygote" in cmdline
+        ]
+        assert len(zygotes) == 1, family
+        assert any(ppid == zygotes[0] for ppid, _s, _c in family.values())
+        lingering = [pid for pid in family if _alive(pid, family[pid][1])]
         assert not lingering, lingering
+
+
+def _stat(pid: int) -> tuple[str, int, int] | None:
+    """``(state, ppid, start time)`` of *pid* from ``/proc``, if any."""
+    try:
+        text = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return None
+    fields = text.rsplit(")", 1)[1].split()
+    return fields[0], int(fields[1]), int(fields[19])
+
+
+def _cmdline(pid: int) -> bytes:
+    try:
+        return Path(f"/proc/{pid}/cmdline").read_bytes()
+    except OSError:
+        return b""
+
+
+def _descendants(root: int) -> dict[int, tuple[int, int, bytes]]:
+    """``pid -> (ppid, start time, cmdline)`` of *root*'s live
+    descendants."""
+    table = {}
+    for name in os.listdir("/proc"):
+        stat = _stat(int(name)) if name.isdigit() else None
+        if stat is not None and stat[0] != "Z":
+            table[int(name)] = stat[1:]
+    family, frontier = {}, [root]
+    while frontier:
+        parent = frontier.pop()
+        for pid, (ppid, start) in table.items():
+            if ppid == parent and pid not in family:
+                family[pid] = (ppid, start, _cmdline(pid))
+                frontier.append(pid)
+    return family
+
+
+def _alive(pid: int, start: int) -> bool:
+    """Whether the process *pid* started at *start* still runs."""
+    stat = _stat(pid)
+    return stat is not None and stat[0] != "Z" and stat[2] == start
 
 
 class _TwoHostBackend(_RecordingBackend):
@@ -433,6 +476,11 @@ class TestCopyBackDispatch:
                     kind="blackhole", host="beta", op="pull",
                     name="*.hb.json",
                 ),
+                # The two equal-cost shards launch in index order onto
+                # slots 0 (alpha) and 1 (beta).  Beta's shard hangs after
+                # one cell on its first attempt, so it is still running
+                # when its heartbeat pulls start failing.
+                Fault(shard=1, kind="hang", at_cell=1),
             ]),
             host_blacklist_after=2, host_cooldown=300.0,
         )

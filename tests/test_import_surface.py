@@ -1,12 +1,13 @@
 """Import-surface gates: what each entry point loads, by module set.
 
 The package surfaces are lazy (PEP 562): ``import repro`` binds nothing,
-and a dispatched ``campaign --shard`` subprocess loads the campaign
-engine and the analysis core but none of the simulator, the optimizer,
-the component model (and networkx), the service, the dispatcher or the
-transports.  Every gate here compares module *sets* of fresh
-interpreters, so it holds on any machine; the walls these sets buy are
-recorded by ``benchmarks/bench_startup.py``.
+and a dispatched ``campaign --shard`` subprocess -- or the zygote that
+local shards are forked from -- loads the campaign engine and the
+analysis core but none of the simulator, the optimizer, the component
+model (and networkx), the service, the dispatcher or the transports.
+Every gate here compares module *sets* of fresh interpreters, so it
+holds on any machine; the walls these sets buy are recorded by
+``benchmarks/bench_startup.py``.
 """
 
 from __future__ import annotations
@@ -45,7 +46,8 @@ with open(out, "w") as fh:
     json.dump({"code": code, "modules": sorted(sys.modules)}, fh)
 """
 
-#: Never loaded by a shard (the dispatcher launches many of them).
+#: Never loaded by a shard (the dispatcher launches many of them) or by
+#: the zygote that local shards are forked from.
 SHARD_EXCLUDED = (
     "networkx",
     "repro.sim",
@@ -121,6 +123,17 @@ class TestEntryPoints:
         assert run["code"] == 0
         assert "repro.batch.campaign" in run["modules"]
         assert _loaded(run["modules"], SHARD_EXCLUDED) == []
+
+    def test_zygote_preload_loads_only_what_shards_run(self):
+        modules = _fresh(
+            "import importlib, json, sys\n"
+            "from repro.batch import zygote\n"
+            "for name in zygote.PRELOAD:\n"
+            "    importlib.import_module(name)\n"
+            "print(json.dumps(sorted(sys.modules)))"
+        )
+        assert {"repro.cli", "repro.batch.campaign"} <= set(modules)
+        assert _loaded(modules, SHARD_EXCLUDED) == []
 
     def test_stdlib_serve_never_imports_uvicorn(self, tmp_path):
         # An importable stand-in, so the probe finds "uvicorn" installed
