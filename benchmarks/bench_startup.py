@@ -23,6 +23,8 @@ inside a helper interpreter (its own start excluded):
 * ``zygote_start`` -- a zygote's start, from launch to ready;
 * ``forked_shard`` -- the same one-chain shard forked from that warm
   zygote, launch to exit, next to the cold ``shard``;
+* ``zygote_close`` -- :meth:`Zygote.close` once that shard has exited,
+  the wait every dispatch ends with;
 * ``dispatch_4x2`` -- ``CampaignDispatcher.run()`` with 4 shards on 2
   local slots over the shard's spec at 4 replicates (one chain per
   shard), zygote start included, polling every 50 ms.
@@ -31,7 +33,7 @@ Each wall is the median of interleaved repeats (command by command, so
 every command samples the same machine phases).  ``--baseline DIR``
 times another checkout's ``DIR/src`` interleaved with this one and
 records its numbers and the speedups beside them; a tree without a
-zygote records only ``dispatch_4x2`` of the three launch walls.  The
+zygote records only ``dispatch_4x2`` of the four launch walls.  The
 interpreter's own settings are inherited, not overridden; whether it
 writes bytecode caches is recorded, because without them every cold
 start compiles the package's sources again.
@@ -74,8 +76,9 @@ print(json.dumps(sorted(sys.modules)))
 
 _DUMP_IMPORT = "import json, sys, {module}; print(json.dumps(sorted(sys.modules)))"
 
-#: Starts a zygote, forks ``python -m repro ARGS`` from it, and prints
-#: ``[start, launch-to-exit]`` seconds; argv[1] is the work dir.
+#: Starts a zygote, forks ``python -m repro ARGS`` from it, closes it,
+#: and prints ``[start, launch-to-exit, close]`` seconds; argv[1] is the
+#: work dir.
 _ZYGOTE = """
 import json, os, sys, time
 from pathlib import Path
@@ -89,8 +92,9 @@ proc = zygote.launch([sys.executable, "-m", "repro", *sys.argv[2:]],
 code = proc.wait()
 t2 = time.perf_counter()
 zygote.close()
+t3 = time.perf_counter()
 assert code == 0, code
-print(json.dumps([t1 - t0, t2 - t1]))
+print(json.dumps([t1 - t0, t2 - t1, t3 - t2]))
 """
 
 #: Prints the wall of a 4-shard, 2-slot dispatch into work dir argv[1].
@@ -111,7 +115,7 @@ print(json.dumps(time.perf_counter() - t0))
 
 #: The launch walls, and whether a tree without a zygote has them.
 LAUNCHES = {"zygote_start": False, "forked_shard": False,
-            "dispatch_4x2": True}
+            "zygote_close": False, "dispatch_4x2": True}
 
 
 def _commands(work: Path) -> dict[str, tuple[list[str], list[str]]]:
@@ -221,9 +225,12 @@ def measure(trees: dict[str, Path], repeats: int) -> dict[str, dict]:
                     walls[tree][name].append(_wall(argv, src))
             for tree, src in trees.items():
                 if "forked_shard" in launches[tree]:
-                    start, forked = _timed(_ZYGOTE, [tmp, *shard_args], src)
+                    start, forked, close = _timed(
+                        _ZYGOTE, [tmp, *shard_args], src
+                    )
                     walls[tree]["zygote_start"].append(start)
                     walls[tree]["forked_shard"].append(forked)
+                    walls[tree]["zygote_close"].append(close)
             for tree, src in trees.items():
                 wd = str(work / f"dispatch_{tree}_{k}")
                 walls[tree]["dispatch_4x2"].append(
@@ -274,8 +281,8 @@ def main(argv=None) -> int:
     payload = {
         "description": "fresh-interpreter walls (median of interleaved "
         "repeats, spawn to exit) and loaded-module counts of the entry "
-        "points, plus zygote start, forked-shard and 4x2 dispatch walls; "
-        "see benchmarks/bench_startup.py",
+        "points, plus zygote start, forked-shard, zygote close and 4x2 "
+        "dispatch walls; see benchmarks/bench_startup.py",
         "python": platform.python_version(),
         "cpu": _cpu_model(),
         "cpus": os.cpu_count(),

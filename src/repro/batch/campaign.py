@@ -77,6 +77,7 @@ from repro.batch.faults import WorkerFaults
 from repro.batch.methods import reseed_jitters, resolve_method
 from repro.batch.store import ResultStore, StoreKey
 from repro.gen.random_transactions import RandomSystemSpec, random_system
+from repro.io.spec import read_json
 from repro.model.system import TransactionSystem
 from repro.util.fixedpoint import fixed_point_stats
 from repro.viz.csvout import write_csv
@@ -549,7 +550,7 @@ def load_cost_manifest(path: str | Path) -> dict[int, float]:
     the natural workflow: point ``--cost-manifest`` at a previous run of
     the same spec) or a bare ``{chain index: cost}`` mapping.
     """
-    data = json.loads(Path(path).read_text())
+    data = read_json(path)
     if not isinstance(data, dict):
         raise ValueError(f"cost manifest {path} is not a JSON object")
     table = data.get("chain_costs", data)
@@ -884,7 +885,7 @@ class CampaignResult:
 
     @classmethod
     def load_json(cls, path: str | Path) -> "CampaignResult":
-        return cls.from_dict(json.loads(Path(path).read_text()))
+        return cls.from_dict(read_json(path))
 
     def write_cells_csv(self, path: str | Path) -> Path:
         """Flat per-cell CSV: one row per (system, method) analysis."""

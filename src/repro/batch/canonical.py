@@ -32,8 +32,9 @@ dict insertion order.  This module provides it:
 from __future__ import annotations
 
 import hashlib
-import json
 import math
+from dataclasses import fields
+from json.encoder import encode_basestring_ascii as _encode_str
 from typing import Any
 
 from repro.io.spec import _platform_to_dict
@@ -55,7 +56,40 @@ CANONICAL_VERSION = 1
 
 
 def _write_canonical(obj: Any, out: list[str]) -> None:
-    if obj is None:
+    # Exact built-in types first, by identity: they are nearly all of a
+    # hashed input.  None, bools, subclasses and NumPy scalars take the
+    # isinstance rules further down.
+    kind = type(obj)
+    if kind is float:
+        if not math.isfinite(obj):
+            raise ValueError(
+                f"canonical JSON cannot encode non-finite float {obj!r}"
+            )
+        out.append(repr(obj) if obj else "0.0")  # -0.0 == 0.0, reprs differ
+    elif kind is int:
+        out.append(str(obj))
+    elif kind is str:
+        out.append(_encode_str(obj))
+    elif isinstance(obj, dict):
+        out.append("{")
+        for i, k in enumerate(sorted(obj)):
+            if not isinstance(k, str):
+                raise TypeError(
+                    f"canonical JSON requires string keys, got {k!r}"
+                )
+            if i:
+                out.append(",")
+            out.append(_encode_str(k) + ":")
+            _write_canonical(obj[k], out)
+        out.append("}")
+    elif isinstance(obj, (list, tuple)):
+        out.append("[")
+        for i, v in enumerate(obj):
+            if i:
+                out.append(",")
+            _write_canonical(v, out)
+        out.append("]")
+    elif obj is None:
         out.append("null")
     elif obj is True:
         out.append("true")
@@ -70,32 +104,9 @@ def _write_canonical(obj: Any, out: list[str]) -> None:
             )
         # Demote subclasses: NumPy's float64 *is* a float but reprs as
         # "np.float64(...)"; the value is bit-identical either way.
-        obj = float(obj)
-        if obj == 0.0:
-            obj = 0.0  # collapse -0.0 (== 0.0, but repr differs)
-        out.append(repr(obj))
+        _write_canonical(float(obj), out)
     elif isinstance(obj, str):
-        out.append(json.dumps(obj, ensure_ascii=True))
-    elif isinstance(obj, (list, tuple)):
-        out.append("[")
-        for i, v in enumerate(obj):
-            if i:
-                out.append(",")
-            _write_canonical(v, out)
-        out.append("]")
-    elif isinstance(obj, dict):
-        out.append("{")
-        for i, k in enumerate(sorted(obj)):
-            if not isinstance(k, str):
-                raise TypeError(
-                    f"canonical JSON requires string keys, got {k!r}"
-                )
-            if i:
-                out.append(",")
-            out.append(json.dumps(k, ensure_ascii=True))
-            out.append(":")
-            _write_canonical(obj[k], out)
-        out.append("}")
+        out.append(_encode_str(obj))
     else:
         item = getattr(obj, "item", None)
         if callable(item):  # NumPy scalars, without importing NumPy
@@ -210,13 +221,16 @@ def campaign_config_hash(spec: Any) -> str:
 
 
 def analysis_config_hash(config: Any) -> str:
-    """Content hash of an :class:`~repro.analysis.AnalysisConfig`."""
-    from dataclasses import asdict
+    """Content hash of an :class:`~repro.analysis.AnalysisConfig`.
 
+    Its fields are all str, int, float or bool, so a shallow dict of
+    them is what ``dataclasses.asdict`` would build, without the copy.
+    """
+    values = {f.name: getattr(config, f.name) for f in fields(config)}
     return content_hash(
         {
             "kind": "analysis-config",
             "version": CANONICAL_VERSION,
-            "config": asdict(config),
+            "config": values,
         }
     )

@@ -34,6 +34,7 @@ import json
 import os
 import threading
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Any
 
@@ -58,6 +59,12 @@ class StoreKey:
 
     def identity(self) -> str:
         """Canonical JSON identity (the collision-checked stored form)."""
+        return self._identity
+
+    @cached_property
+    def _identity(self) -> str:
+        # Encoded once per key, though ``get`` and ``put`` each read it
+        # twice (the file name's digest, then the echoed identity).
         return canonical_json(
             {
                 "system": self.system_hash,

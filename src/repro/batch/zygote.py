@@ -11,7 +11,10 @@ handlers, and a cold child's exit status (``-signum`` for a signal).
 The zygote is single-threaded, ignores SIGINT and leads its own process
 group.  It reaps a child only when the launcher polls it, so a pid stays
 reserved until its owner has seen the exit and :meth:`ForkedShard.kill`
-can signal it directly.  On EOF it kills and reaps its children.
+can signal it directly.  On EOF it kills and reaps its children, then
+leaves through ``os._exit(0)`` after flushing stdio: interpreter
+teardown of the preloaded modules took most of :meth:`Zygote.close`,
+and nothing the zygote runs needs an exit hook.
 """
 
 from __future__ import annotations
@@ -193,6 +196,11 @@ def serve(fd: int, preload) -> None:
     for pid in children:
         os.kill(pid, signal.SIGKILL)
         os.waitpid(pid, 0)
+    # Skip interpreter teardown, as a shard does: it is most of the
+    # launcher's wait in close().
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(0)
 
 
 if __name__ == "__main__":

@@ -31,6 +31,7 @@ from typing import Sequence
 
 from repro.analysis import AnalysisConfig, analyze
 from repro.io import load_system, save_system, system_to_dict
+from repro.io.spec import read_json
 from repro.viz import format_table
 
 # Subsystems only some commands use -- the simulator (NumPy), the
@@ -702,14 +703,10 @@ def _cmd_example(args: argparse.Namespace) -> int:
 
 def _spec_from_args(args: argparse.Namespace):
     """Build the CampaignSpec described by the shared campaign flags."""
-    from pathlib import Path
-
     from repro.batch import CampaignSpec
 
     if getattr(args, "spec_file", None):
-        return CampaignSpec.from_dict(
-            json.loads(Path(args.spec_file).read_text())
-        )
+        return CampaignSpec.from_dict(read_json(args.spec_file))
 
     grid_specs = args.grid or ["utilization=0.3:0.9:5"]
     grid: dict[str, tuple] = {}
@@ -1091,7 +1088,7 @@ def _cmd_store_gc(args: argparse.Namespace) -> int:
         from repro.batch import CampaignSpec
         from repro.batch.campaign import store_reachable_digests
 
-        data = json.loads(Path(args.spec_file).read_text())
+        data = read_json(args.spec_file)
         if isinstance(data, dict) and isinstance(data.get("spec"), dict):
             data = data["spec"]  # a campaign result JSON: use its spec
         spec = CampaignSpec.from_dict(data)

@@ -54,7 +54,7 @@ from repro.components.scheduler import (
     LocalScheduler,
 )
 from repro.components.threads import CallStep, EventThread, PeriodicThread, TaskStep
-from repro.io.spec import _platform_from_dict, _platform_to_dict
+from repro.io.spec import _platform_from_dict, _platform_to_dict, read_json
 from repro.platforms.network import Message
 
 __all__ = [
@@ -273,4 +273,4 @@ def save_assembly(assembly: SystemAssembly, path: str | Path) -> Path:
 
 def load_assembly(path: str | Path) -> SystemAssembly:
     """Load an assembly previously written by :func:`save_assembly`."""
-    return assembly_from_dict(json.loads(Path(path).read_text()))
+    return assembly_from_dict(read_json(path))

@@ -207,6 +207,19 @@ def save_system(system: TransactionSystem, path: str | Path) -> Path:
     return path
 
 
+def read_json(path: str | Path) -> Any:
+    """Parse the JSON file at *path*, the one way user files are read.
+
+    A file nested deeper than the parser's recursion limit raises
+    :class:`ValueError`, like every other malformed file, instead of
+    :class:`RecursionError`.
+    """
+    try:
+        return json.loads(Path(path).read_text())
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nested too deeply to parse") from None
+
+
 def load_system(path: str | Path) -> TransactionSystem:
     """Load a system previously written by :func:`save_system`."""
-    return system_from_dict(json.loads(Path(path).read_text()))
+    return system_from_dict(read_json(path))

@@ -401,7 +401,9 @@ def _parse_body(body: bytes) -> Any:
         raise ValidationError("request body is empty; expected JSON")
     try:
         return json.loads(body)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # JSONDecodeError, undecodable bytes, an over-long integer
+        # literal, or nesting deeper than the parser's recursion limit.
         raise ValidationError(f"request body is not valid JSON: {exc}")
 
 

@@ -6,10 +6,13 @@ when that backend is chosen), and degrade to a first-party fallback
 instead of failing.  Here the fallback is a ``ThreadingHTTPServer``
 whose handler funnels every request through the same
 :func:`~repro.serve.testclient.call_asgi` bridge the test client uses
--- one code path from the tier-1 suite to production.  uvicorn
-(``requirements-ci.txt`` installs it; the no-NumPy leg does not) is
-preferred when importable because it brings a production event loop,
-keep-alive and graceful-shutdown handling for free.
+-- one code path from the tier-1 suite to production.  The bridge runs
+each request on its connection's thread with no event loop (the app
+never suspends; one that does is refused), so ``--http stdlib`` never
+imports asyncio.  uvicorn (``requirements-ci.txt`` installs it; the
+no-NumPy leg does not) is preferred when importable because it brings a
+production event loop, keep-alive and graceful-shutdown handling for
+free.
 """
 
 from __future__ import annotations

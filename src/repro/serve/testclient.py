@@ -8,11 +8,15 @@ one-shot ``receive``, and collects ``http.response.*`` messages.  The
 stdlib server bridge (:mod:`repro.serve.server`) reuses
 :func:`call_asgi`, so a request travels byte-for-byte the same path in
 tests and in production.
+
+There is no event loop: :func:`call_asgi` steps the app's coroutine to
+completion on the calling thread.  The app awaits nothing but the
+bridge's own ``receive`` and ``send``, which never suspend; an app that
+does suspend is closed and refused with :class:`RuntimeError`.
 """
 
 from __future__ import annotations
 
-import asyncio
 import json as _json
 from typing import Any
 
@@ -44,7 +48,7 @@ def call_asgi(
     body: bytes = b"",
     headers: list[tuple[str, str]] | None = None,
 ) -> Response:
-    """One synchronous request through an ASGI app."""
+    """One synchronous request through an ASGI app, on this thread."""
     query = b""
     if "?" in path:
         path, _, q = path.partition("?")
@@ -79,7 +83,17 @@ def call_asgi(
     async def send(message: dict) -> None:
         messages.append(message)
 
-    asyncio.run(app(scope, receive, send))
+    coro = app(scope, receive, send)
+    try:
+        coro.send(None)
+    except StopIteration:
+        pass
+    else:
+        coro.close()
+        raise RuntimeError(
+            "the ASGI app suspended; this bridge runs no event loop, so an "
+            "app may await only its receive and send"
+        )
     status = 500
     out_headers: list[tuple[str, str]] = []
     out_body = b""

@@ -1,10 +1,18 @@
 """Tests for the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
+from repro.batch import CampaignResult
+from repro.batch.campaign import load_cost_manifest
 from repro.cli import main
+from repro.io import load_assembly, load_system
 from repro.io import save_system, system_to_dict
 from repro.model.system import TransactionSystem
 from repro.model.task import Task
@@ -61,6 +69,50 @@ class TestAnalyze:
     def test_missing_file_exit_two(self, capsys):
         assert main(["analyze", "/nonexistent/sys.json"]) == 2
         assert "error" in capsys.readouterr().err
+
+
+#: A JSON document nested past the parser's recursion limit.
+NESTED = "[" * 50_000 + "]" * 50_000
+
+
+class TestNestedUserFiles:
+    """A file too deep to parse is a usage error (exit 2), not a crash."""
+
+    @pytest.fixture
+    def nested_file(self, tmp_path):
+        path = tmp_path / "nested.json"
+        path.write_text(NESTED)
+        return path
+
+    def test_analyze_exits_two_without_traceback(self, nested_file):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(repro.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "analyze", str(nested_file)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error: ")
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("command", ["campaign", "store-gc"])
+    def test_spec_flag_exits_two(self, nested_file, tmp_path, capsys,
+                                 command):
+        argv = [command, "--spec", str(nested_file)]
+        if command == "store-gc":
+            (tmp_path / "store").mkdir()
+            argv.insert(1, str(tmp_path / "store"))
+        assert main(argv) == 2
+        assert "nested too deeply" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "load",
+        [load_system, load_assembly, load_cost_manifest,
+         CampaignResult.load_json],
+    )
+    def test_loaders_raise_value_error(self, nested_file, load):
+        with pytest.raises(ValueError, match="nested too deeply"):
+            load(nested_file)
 
 
 class TestSimulate:

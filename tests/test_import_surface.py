@@ -164,6 +164,8 @@ class TestEntryPoints:
         assert run["code"] == 0
         assert "repro.serve.server" in run["modules"]
         assert "uvicorn" not in run["modules"]
+        # The stdlib bridge steps each request's coroutine itself.
+        assert "asyncio" not in run["modules"]
 
 
 #: Each package's public names must be the very objects their defining

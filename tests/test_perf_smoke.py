@@ -278,9 +278,10 @@ STARTUP_FIELDS = {"argv", "wall_s", "wall_s_iqr", "samples", "modules",
                   "repro_modules", "numpy", "networkx"}
 
 #: Launch walls it times inside a helper interpreter.  The committed
-#: baseline tree has no zygote, so it records only ``dispatch_4x2``.
-STARTUP_LAUNCHES = {"zygote_start", "forked_shard", "dispatch_4x2"}
-BASELINE_LAUNCHES = {"dispatch_4x2"}
+#: baseline tree has a zygote too, so it records all four.
+STARTUP_LAUNCHES = {"zygote_start", "forked_shard", "zygote_close",
+                    "dispatch_4x2"}
+BASELINE_LAUNCHES = STARTUP_LAUNCHES
 LAUNCH_FIELDS = {"wall_s", "wall_s_iqr", "samples"}
 
 #: A one-chain shard's module counts before the package surfaces went

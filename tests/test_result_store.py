@@ -11,8 +11,11 @@ to the cold run -- same cells, same verdicts, same accounting -- with
 from __future__ import annotations
 
 import json
+import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.analysis import AnalysisConfig, analyze
 from repro.batch import (
@@ -28,6 +31,8 @@ from repro.batch import (
     store_reachable_digests,
     system_hash,
 )
+from repro.batch.canonical import _write_canonical
+from repro.gen.random_transactions import RandomSystemSpec, random_system
 from repro.model.system import TransactionSystem
 from repro.model.task import Task
 from repro.model.transaction import Transaction
@@ -117,6 +122,245 @@ class TestCanonicalJson:
             canonical_json(obj).encode("utf-8")
         ).hexdigest()
         assert content_hash(obj) == expected
+
+
+def _oracle_write_canonical(obj, out):
+    """The previous canonical writer, verbatim but for its name."""
+    if obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, int):
+        out.append(str(obj))
+    elif isinstance(obj, float):
+        if not math.isfinite(obj):
+            raise ValueError(
+                f"canonical JSON cannot encode non-finite float {obj!r}"
+            )
+        # Demote subclasses: NumPy's float64 *is* a float but reprs as
+        # "np.float64(...)"; the value is bit-identical either way.
+        obj = float(obj)
+        if obj == 0.0:
+            obj = 0.0  # collapse -0.0 (== 0.0, but repr differs)
+        out.append(repr(obj))
+    elif isinstance(obj, str):
+        out.append(json.dumps(obj, ensure_ascii=True))
+    elif isinstance(obj, (list, tuple)):
+        out.append("[")
+        for i, v in enumerate(obj):
+            if i:
+                out.append(",")
+            _oracle_write_canonical(v, out)
+        out.append("]")
+    elif isinstance(obj, dict):
+        out.append("{")
+        for i, k in enumerate(sorted(obj)):
+            if not isinstance(k, str):
+                raise TypeError(
+                    f"canonical JSON requires string keys, got {k!r}"
+                )
+            if i:
+                out.append(",")
+            out.append(json.dumps(k, ensure_ascii=True))
+            out.append(":")
+            _oracle_write_canonical(obj[k], out)
+        out.append("}")
+    else:
+        item = getattr(obj, "item", None)
+        if callable(item):  # NumPy scalars, without importing NumPy
+            _oracle_write_canonical(item(), out)
+        else:
+            raise TypeError(
+                f"canonical JSON cannot encode {type(obj).__name__}: {obj!r}"
+            )
+
+
+def _written(write, obj):
+    """What *write* makes of *obj*: the text, or the error it raised."""
+    out: list[str] = []
+    try:
+        write(obj, out)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+    return "".join(out)
+
+
+class _Str(str):
+    pass
+
+
+class _Int(int):
+    pass
+
+
+class _Float(float):
+    pass
+
+
+class _List(list):
+    pass
+
+
+class _Dict(dict):
+    pass
+
+
+_UNENCODABLE = object()
+
+
+def _power_of_ten(exponent: int) -> int:
+    """``±10**|exponent|``: 4300 digits still convert, 4301 do not."""
+    return 10 ** abs(exponent) * (1 if exponent > 0 else -1)
+
+
+#: JSON-able leaves: what store keys and payloads are made of, in every
+#: type the writer accepts.
+_leaves = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=-(2**200), max_value=2**200),
+    st.sampled_from([4299, -4299]).map(_power_of_ten),  # 4300 digits
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 0.1 + 0.2, 5e-324, 1e308]),
+    st.text(),
+    st.text(st.characters(codec=None, exclude_categories=())),
+    st.floats(allow_nan=False, allow_infinity=False).map(np.float64),
+    st.floats(width=32, allow_nan=False, allow_infinity=False).map(
+        np.float32
+    ),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.booleans().map(np.bool_),
+    st.text().map(_Str),
+    st.integers().map(_Int),
+    st.floats(allow_nan=False, allow_infinity=False).map(_Float),
+)
+
+#: Leaves the writer must refuse: non-finite floats (plain, subclassed
+#: and NumPy), ints past the 4300-digit string limit, objects with no
+#: JSON form.
+_refused = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+    st.sampled_from([math.nan, -math.inf]).map(np.float64),
+    st.sampled_from([math.inf]).map(_Float),
+    st.sampled_from([4300, -4400]).map(_power_of_ten),
+    st.just(_UNENCODABLE),
+)
+
+
+def _nested(leaves, *, int_keys=False):
+    def containers(children):
+        branches = [
+            st.lists(children, max_size=4),
+            st.lists(children, max_size=4).map(tuple),
+            st.lists(children, max_size=4).map(_List),
+            st.dictionaries(st.text(max_size=6), children, max_size=4),
+            st.dictionaries(st.text(max_size=6), children, max_size=4).map(
+                _Dict
+            ),
+        ]
+        if int_keys:
+            branches.append(
+                st.dictionaries(st.integers(0, 3), children, min_size=1,
+                                max_size=2)
+            )
+        return st.one_of(branches)
+
+    return st.recursive(leaves, containers, max_leaves=24)
+
+
+class TestWriterOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(_nested(_leaves))
+    def test_matches_previous_writer(self, obj):
+        written = _written(_write_canonical, obj)
+        assert isinstance(written, str)
+        assert written == _written(_oracle_write_canonical, obj)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_nested(st.one_of(_leaves, _refused), int_keys=True))
+    def test_raises_what_previous_writer_raised(self, obj):
+        assert _written(_write_canonical, obj) == _written(
+            _oracle_write_canonical, obj
+        )
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            -0.0,
+            np.float64(-0.0),
+            np.float64("nan"),
+            np.float32(0.1),
+            "\x00\x1f\x7f\u00e9\u2028\ud800\U0001f600",
+            {"\u00e9": ("\n", True, None)},
+            10**4300,
+            {"b": 1, 2: 3},
+        ],
+        ids=["neg-zero", "np-neg-zero", "np-nan", "np-float32",
+             "control-and-non-ascii", "non-ascii-key", "digit-limit",
+             "mixed-keys"],
+    )
+    def test_edge_cases_match_previous_writer(self, obj):
+        assert _written(_write_canonical, obj) == _written(
+            _oracle_write_canonical, obj
+        )
+
+
+#: Hashes as the previous writer computed them: a rewrite that moved one
+#: byte would turn every stored entry into a miss.
+GOLDEN_PAPER_SYSTEM = (
+    "53f03913d8cdb8f77e86d1af1c8a290a6b82c4e7859d6188207bd59df7b33590"
+)
+GOLDEN_GENERATED_SYSTEMS = {
+    1: "43ef8acc8446b31dd80adbdc72a24a5149337ba0153db9f10d69326076d3d7be",
+    2: "2e0562be9ec4e0ba9c1dbd82451bba90fc4f4da6e1e6fb353486451f159f2a4f",
+    3: "9156a6a1d85b9eddfcd19c17deda2b19a1ac45e125b32db417c1c112c5c3fb01",
+}
+GOLDEN_EXACT_CONFIG = (
+    "d1b404204fc38924a5358df2f4b06cd77a868b708391e4e5e9ff719569a8b9dc"
+)
+GOLDEN_VERDICT_CONFIG = (
+    "36aed4645e086b47cbeab42bafb5d62f7830216643868be4fb34ff8a529d5b07"
+)
+GOLDEN_CAMPAIGN_CONFIG = (
+    "7824c4c1b28faa2c7d9fa63a8daff8ad11c1f0461be2abc974ded5e5a668ae08"
+)
+#: ``StoreKey`` of the paper system's one-shot exact ``analyze``.
+GOLDEN_ANALYZE_KEY = (
+    "bc2010af0f2116522cc83c46cdb9c4e7c6da378f9a1b816717536d50b87aecf5"
+)
+
+
+class TestGoldenKeys:
+    def test_paper_system_hash(self):
+        assert system_hash(sensor_fusion_system()) == GOLDEN_PAPER_SYSTEM
+
+    @pytest.mark.parametrize("seed", sorted(GOLDEN_GENERATED_SYSTEMS))
+    def test_generated_system_hash(self, seed):
+        system = random_system(RandomSystemSpec(), seed=seed)
+        assert system_hash(system) == GOLDEN_GENERATED_SYSTEMS[seed]
+
+    def test_analysis_config_hashes(self):
+        assert analysis_config_hash(AnalysisConfig()) == GOLDEN_EXACT_CONFIG
+        assert (
+            analysis_config_hash(AnalysisConfig(mode="verdict"))
+            == GOLDEN_VERDICT_CONFIG
+        )
+
+    def test_campaign_config_hash(self):
+        assert campaign_config_hash(small_spec()) == GOLDEN_CAMPAIGN_CONFIG
+
+    def test_store_key_digest(self):
+        key = StoreKey(
+            system_hash(sensor_fusion_system()),
+            analysis_config_hash(AnalysisConfig()),
+            None,
+            "analyze",
+        )
+        assert key.digest() == GOLDEN_ANALYZE_KEY
+        assert key.identity() == key.identity()  # cached, not re-encoded
 
 
 class TestSystemHash:

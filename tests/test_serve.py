@@ -35,7 +35,7 @@ from repro.serve.schemas import (
     CampaignRequest,
     ValidationError,
 )
-from repro.serve.testclient import TestClient
+from repro.serve.testclient import TestClient, call_asgi
 
 pytestmark = pytest.mark.serve
 
@@ -51,6 +51,17 @@ SPEC_DICT = {
     "methods": ["reduced"],
     "systems_per_cell": 2,
     "seed": 7,
+}
+
+
+#: Bodies the JSON parser rejects with something other than a
+#: JSONDecodeError: nesting past its recursion limit, bytes that are not
+#: UTF-8, and an integer literal past int's string-conversion limit.
+HOSTILE_BODIES = {
+    "deep_array": b"[" * 50_000 + b"]" * 50_000,
+    "deep_object": b'{"a":' * 50_000 + b"0" + b"}" * 50_000,
+    "invalid_utf8": b'{"system": "\xff"}',
+    "long_int": b'{"system": ' + b"9" * 5_002 + b"}",
 }
 
 
@@ -194,6 +205,14 @@ class TestAnalyze:
             response = client.post("/analyze", body=b"{nope")
             assert response.status == 400
             assert client.post("/analyze").status == 400  # empty body
+
+    @pytest.mark.parametrize("path", ["/analyze", "/campaigns"])
+    @pytest.mark.parametrize("body", sorted(HOSTILE_BODIES))
+    def test_hostile_json_400(self, path, body):
+        with make_client() as client:
+            response = client.post(path, body=HOSTILE_BODIES[body])
+        assert response.status == 400, response.body[:200]
+        assert "not valid JSON" in response.json()["detail"][0]
 
     def test_unparseable_system_400(self):
         with make_client() as client:
@@ -471,6 +490,33 @@ class TestSchemas:
         cell = payload["cells"][0]
         assert cell["max_wcrt_ratio"] == "Infinity"
         assert cell["extras"]["x"] == "NaN"
+
+
+class TestBridgeContract:
+    """``call_asgi`` runs no event loop: an app that suspends is refused."""
+
+    def test_suspending_app_raises_promptly(self):
+        import asyncio
+        import gc
+        import warnings
+
+        closed = []
+
+        async def app(scope, receive, send):
+            try:
+                await asyncio.sleep(0)
+            finally:
+                closed.append(True)
+
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            t0 = time.monotonic()
+            with pytest.raises(RuntimeError, match="suspended"):
+                call_asgi(app, "GET", "/healthz")
+            assert time.monotonic() - t0 < 1.0
+            gc.collect()
+        assert closed == [True]  # the coroutine was closed, not dropped
+        assert not [w for w in caught if "never awaited" in str(w.message)]
 
 
 class TestStdlibBridge:

@@ -226,6 +226,28 @@ class TestLifetime:
         assert backend._zygote._proc.pid != zpid
         backend.close()
 
+    def test_close_skips_interpreter_teardown(self, tmp_path, monkeypatch):
+        # A preloaded module's exit hook: it would run in an interpreter
+        # teardown, which the zygote skips after reaping its children.
+        marker = tmp_path / "teardown-ran"
+        (tmp_path / "exit_hook.py").write_text(
+            "import atexit\n"
+            f"atexit.register(lambda: open({str(marker)!r}, 'w').close())\n"
+        )
+        monkeypatch.setattr(zygote, "PRELOAD", (*zygote.PRELOAD, "exit_hook"))
+        env = _child_env()
+        env["PYTHONPATH"] = os.pathsep.join([str(tmp_path), env["PYTHONPATH"]])
+        z = zygote.Zygote(env, tmp_path / "zygote.log")
+        shard = z.launch(
+            _argv(*_campaign(str(tmp_path / "out.json"))),
+            dict(_child_env(), **{FAULT_ENV: HANG}), tmp_path / "shard.log",
+        )
+        assert _alive(shard.pid)
+        z.close()
+        assert z._proc.returncode == 0
+        assert not marker.exists()
+        assert not any(_alive(pid) for pid in (z._proc.pid, shard.pid))
+
     def test_killed_owner_leaves_nothing_alive(self, tmp_path):
         owner = subprocess.Popen(
             [sys.executable, "-c", _OWNER, str(tmp_path)],
