@@ -14,8 +14,6 @@ ISSUE 3 additions, recorded alongside the kernel x scheduler matrix:
   aggregate throughput models two hosts running side by side
   (total systems / slowest shard wall) and must reach >= 1.8x the
   single-shard run; the shard union is asserted bit-identical to it.
-* ``collection`` -- the 2-worker sweep under ``collect="pickle"`` vs the
-  ``collect="shm"`` fixed-width shared-memory ring.
 * ``wide_view`` -- the vector-vs-scalar kernel speedup on the
   ``wide_view_spec`` generator preset (>= 100 batched jobs per Eq. 15
   call), where ``kernel="auto"`` selects the vector kernel.
@@ -265,30 +263,6 @@ def _measure_sharding(spec: CampaignSpec) -> dict:
     }
 
 
-def _measure_collection(spec: CampaignSpec) -> dict:
-    """2-worker pool: pickled chunk returns vs the shared-memory ring."""
-    campaign = Campaign(spec)
-    best = _interleaved_best(
-        {
-            mode: lambda m=mode: campaign.run(workers=2, collect=m)
-            for mode in ("pickle", "shm")
-        }
-    )
-    out: dict = {}
-    for mode, (wall, result) in best.items():
-        out[mode] = {
-            "wall_time_s": wall,
-            "systems_per_second": result.n_systems / wall,
-            "shm_records": result.shm_records,
-            "shm_overflow": result.shm_overflow,
-        }
-    assert best["shm"][1].metrics() == best["pickle"][1].metrics()
-    out["shm_vs_pickle"] = (
-        out["pickle"]["wall_time_s"] / out["shm"]["wall_time_s"]
-    )
-    return out
-
-
 def _measure_verdict_mode(spec: CampaignSpec) -> dict:
     """Exact vs verdict-mode throughput on the reference sweep.
 
@@ -493,7 +467,6 @@ def run_bench(*, gating: bool = True, out_path: Path = BENCH_JSON) -> dict:
 
     # ISSUE 3: the distributed-execution measurements.
     sharding = _measure_sharding(_spec("gauss_seidel", True))
-    collection = _measure_collection(_spec("gauss_seidel", True))
     wide_view = _measure_wide_view()
 
     # ISSUE 3 acceptance: a 2-shard deployment of the reference sweep
@@ -529,7 +502,6 @@ def run_bench(*, gating: bool = True, out_path: Path = BENCH_JSON) -> dict:
         "runs": runs,
         "speedups": speedups,
         "sharding": sharding,
-        "collection": collection,
         "wide_view": wide_view,
         "verdict_mode": verdict_mode,
         "result_store": result_store,
@@ -548,8 +520,6 @@ def test_campaign_throughput(benchmark, write_artifact):
                 "speedups": payload["speedups"],
                 "sharding_aggregate_speedup":
                     payload["sharding"]["aggregate_speedup"],
-                "collection_shm_vs_pickle":
-                    payload["collection"]["shm_vs_pickle"],
                 "wide_view_vector_vs_scalar":
                     payload["wide_view"]["vector_vs_scalar"],
                 "verdict_vs_exact":

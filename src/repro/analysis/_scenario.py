@@ -31,6 +31,8 @@ __all__ = ["ScenarioOutcome", "solve_scenario"]
 #: Safety cap mirroring ``iterate_fixed_point``'s default.
 _MAX_ITERATIONS = 100_000
 
+_INF = float("inf")
+
 
 @dataclass(frozen=True)
 class ScenarioOutcome:
@@ -89,14 +91,20 @@ def solve_scenario(
         callers that only compare the response against a deadline already
         have their answer.  ``inf`` (default) restores exact behavior.
 
-        A finite ceiling also restructures the solve around the busy-
-        period *length* loop (see :func:`_solve_scenario_verdict`): job
-        completions are solved incrementally as busy iterates widen the
-        window, so a first-job deadline miss aborts the scenario without
-        paying the full busy-length solve -- near-saturated levels used
-        to spend hundreds of busy evaluations before the first
-        completion abort could fire.  Job set, per-job iterate sequences
-        and the final outcome are identical to the two-phase order.
+        A finite ceiling also interleaves the completion solves into the
+        busy-period *length* loop.  Every busy iterate lower-bounds the
+        busy length, so each own job activated inside the current window
+        is already known to lie in the busy period: its completion is
+        solved (and its ceiling abort taken) before the length loop goes
+        on, and a first-job deadline miss near saturation aborts without
+        paying the whole length solve.  A long busy iterate alone proves
+        nothing -- interference released after a job completes can
+        stretch the busy period with every deadline met -- so the abort
+        still rides on completion iterates.  Under an infinite ceiling
+        the length loop runs to convergence first: interleaving there
+        only costs, because a diverging busy period would solve one
+        completion for every job its widening window passes.  Either
+        order solves the same jobs through the same iterate sequences.
     chain_jobs:
         Warm-start each job's completion fixed point from the previous
         job's completion (sound: the completion map of job ``p+1``
@@ -108,19 +116,18 @@ def solve_scenario(
         iterate prefixes, job-chained warm starts).  The dict operations
         are inlined in the loops, so a hit costs one lookup instead of the
         whole interference sum.  Disabled by the benchmark reference mode.
-    """
-    if response_ceiling != float("inf"):
-        return _solve_scenario_verdict(
-            analyzed, phi_ab, interference,
-            bound=bound, tol=tol, chain_jobs=chain_jobs, memoize=memoize,
-            response_ceiling=response_ceiling,
-        )
 
+    Accounting: closed solves are batched through ``note_solves``; an
+    aborting solve goes through ``note_solve`` (plus ``note_ceiling_exit``
+    for a ceiling abort), and evaluations spent on a busy solve still open
+    at abort time are charged without a closing solve count.
+    """
     T = analyzed.period
     base = analyzed.delay + analyzed.blocking
     cost = analyzed.cost
     ceil_ = math.ceil
     memo: dict[float, float] | None = {} if memoize else None
+    interleave = response_ceiling != _INF
 
     # Eq. 13: p0 indexes the earliest job whose jittered activation can
     # coincide with the busy-period start.
@@ -131,203 +138,70 @@ def solve_scenario(
     # scenarios the analyzed task never joins.  The epsilon-snapped ceiling
     # (util.math.ceil_div) is inlined in the loop.
     shift = 1 - p0
-
-    start = base + cost
-    x = start
-    evals = 0
-    while True:
-        evals += 1
-        xx = (x - phi_ab) / T
-        nearest = round(xx)
-        own_jobs = (
-            nearest if abs(xx - nearest) <= EPS else ceil_(xx)
-        ) + shift
-        if own_jobs < 0:
-            own_jobs = 0
-        if memo is None:
-            inter = interference(x)
-        else:
-            inter = memo.get(x)
-            if inter is None:
-                inter = memo[x] = interference(x)
-        nxt = base + own_jobs * cost + inter
-        if nxt > bound:
-            note_solve(evals, diverged=True)
-            return ScenarioOutcome(
-                response=float("inf"), worst_job=None, busy_length=float("inf"),
-                jobs_checked=0, evaluations=evals,
-            )
-        if -tol <= nxt - x <= tol:
-            break
-        if evals >= _MAX_ITERATIONS:
-            note_solve(evals, diverged=True)
-            return ScenarioOutcome(
-                response=float("inf"), worst_job=None, busy_length=float("inf"),
-                jobs_checked=0, evaluations=evals,
-            )
-        x = nxt
-    L = nxt
-    evaluations = evals
-    solves = 1
-    warm_solves = 0
-
-    p_last = ceil_div(L - phi_ab, T)  # Eq. 14
-    if p_last < p0:
-        # No job of the analyzed task inside this busy period.
-        note_solves(evaluations, solves)
-        return ScenarioOutcome(
-            response=float("-inf"), worst_job=None, busy_length=L,
-            jobs_checked=0, evaluations=evaluations,
-        )
-
-    worst = float("-inf")
-    worst_job: int | None = None
-    checked = 0
-    # Job-chained warm start: the completion map of job p+1 dominates job
-    # p's pointwise (one more own job), so its least fixed point is at or
-    # above job p's -- iterating from the previous completion reaches the
-    # same fixed point in fewer steps.
-    prev_completion: float | None = None
-    for p in range(p0, p_last + 1):
-        done = base + (p - p0 + 1) * cost
-        # Activation instant of job p measured from the transaction
-        # activation (phi + (p-1)T - phi_bar); a completion iterate above
-        # ``response_ceiling + act`` implies a response past the ceiling.
-        act = phi_ab + (p - 1) * T - analyzed.phi
-        limit = response_ceiling + act
-        warm = (
-            chain_jobs
-            and prev_completion is not None
-            and prev_completion > start
-        )
-        w = prev_completion if warm else start
-        evals = 0
-        while True:
-            evals += 1
-            if memo is None:
-                inter = interference(w)
-            else:
-                inter = memo.get(w)
-                if inter is None:
-                    inter = memo[w] = interference(w)
-            nxt = done + inter
-            if nxt > bound:
-                note_solves(evaluations, solves, warm_started=warm_solves)
-                note_solve(evals, diverged=True, warm_started=warm)
-                return ScenarioOutcome(
-                    response=float("inf"), worst_job=p, busy_length=L,
-                    jobs_checked=checked, evaluations=evaluations + evals,
-                )
-            if nxt > limit:
-                # Verdict-mode early exit: the iterate is a lower bound on
-                # this job's response, which lower-bounds the scenario's
-                # worst response -- the deadline miss is already proven.
-                note_solves(evaluations, solves, warm_started=warm_solves)
-                note_solve(evals, warm_started=warm)
-                note_ceiling_exit()
-                return ScenarioOutcome(
-                    response=float("inf"), worst_job=p, busy_length=L,
-                    jobs_checked=checked, evaluations=evaluations + evals,
-                )
-            if -tol <= nxt - w <= tol:
-                break
-            if evals >= _MAX_ITERATIONS:
-                note_solves(evaluations, solves, warm_started=warm_solves)
-                note_solve(evals, diverged=True, warm_started=warm)
-                return ScenarioOutcome(
-                    response=float("inf"), worst_job=p, busy_length=L,
-                    jobs_checked=checked, evaluations=evaluations + evals,
-                )
-            w = nxt
-        w = nxt
-        evaluations += evals
-        solves += 1
-        if warm:
-            warm_solves += 1
-        prev_completion = w
-        # Response measured from the transaction activation that released
-        # job p (see ``act`` above).
-        r = w - act
-        checked += 1
-        if r > worst:
-            worst = r
-            worst_job = p
-    note_solves(evaluations, solves, warm_started=warm_solves)
-    return ScenarioOutcome(
-        response=worst, worst_job=worst_job, busy_length=L, jobs_checked=checked,
-        evaluations=evaluations,
-    )
-
-
-def _solve_scenario_verdict(
-    analyzed: AnalyzedTask,
-    phi_ab: float,
-    interference: Callable[[float], float],
-    *,
-    bound: float,
-    tol: float,
-    chain_jobs: bool,
-    memoize: bool,
-    response_ceiling: float,
-) -> ScenarioOutcome:
-    """Verdict-mode scenario solve: the busy-*length* loop has a ceiling too.
-
-    The two-phase order of :func:`solve_scenario` (busy length to
-    convergence, then per-job completions) pays the whole length solve
-    before the first completion's ceiling abort can fire -- and near
-    saturation the length solve is exactly the expensive part.  A long
-    busy iterate alone proves nothing (interference released *after* a
-    job completes can stretch the busy period with every job still making
-    its deadline), so the sound restructuring interleaves instead: every
-    busy iterate is a lower bound on the busy length, so every own job
-    activated inside the current window is already known to lie in the
-    busy period and its completion can be solved -- and its deadline
-    ceiling abort taken -- immediately.  Job set (``p0..p_last``), per-job
-    iterate sequences, job-chained warm starts and the returned outcome
-    are identical to the two-phase order; only the abort arrives before
-    the length solve converges, skipping its remaining iterations.
-
-    Accounting matches :func:`solve_scenario`'s shapes: completed solves
-    are batched through ``note_solves``, the aborting solve goes through
-    ``note_solve`` + ``note_ceiling_exit``, and evaluations spent on a
-    still-open busy solve at abort time are charged as evaluations
-    without a closing solve count.
-    """
-    T = analyzed.period
-    base = analyzed.delay + analyzed.blocking
-    cost = analyzed.cost
-    ceil_ = math.ceil
-    memo: dict[float, float] | None = {} if memoize else None
-
-    p0 = 1 - floor_div(analyzed.jitter + phi_ab, T)
-    shift = 1 - p0
     start = base + cost
 
-    def eval_inter(t: float) -> float:
-        if memo is None:
-            return interference(t)
-        v = memo.get(t)
-        if v is None:
-            v = memo[t] = interference(t)
-        return v
-
-    evaluations = 0
+    evaluations = 0  # of closed solves
     solves = 0
     warm_solves = 0
-    worst = float("-inf")
+    busy_evals = 0  # of the busy solve while it is still open
+    worst = -_INF
     worst_job: int | None = None
     checked = 0
     prev_completion: float | None = None
     next_p = p0  # next own job awaiting its completion solve
+    p_hi = p0 - 1  # last own job known to lie in the busy period
+    L = _INF  # busy length, once the length loop has converged
+    x = start
+    while True:
+        while True:
+            xx = (x - phi_ab) / T
+            nearest = round(xx)
+            own_jobs = (
+                nearest if abs(xx - nearest) <= EPS else ceil_(xx)
+            ) + shift
+            if own_jobs < 0:
+                own_jobs = 0
+            if interleave and own_jobs > next_p - p0:
+                # New own jobs entered the window: solve them first.
+                p_hi = p0 + own_jobs - 1
+                break
+            busy_evals += 1
+            if memo is None:
+                inter = interference(x)
+            else:
+                inter = memo.get(x)
+                if inter is None:
+                    inter = memo[x] = interference(x)
+            nxt = base + own_jobs * cost + inter
+            if nxt > bound:
+                return _abort(
+                    evaluations, solves, warm_solves, busy_evals,
+                    diverged=True, checked=checked,
+                )
+            if -tol <= nxt - x <= tol:
+                L = nxt
+                evaluations += busy_evals
+                busy_evals = 0
+                solves += 1
+                p_hi = ceil_div(L - phi_ab, T)  # Eq. 14
+                break
+            if busy_evals >= _MAX_ITERATIONS:
+                return _abort(
+                    evaluations, solves, warm_solves, busy_evals,
+                    diverged=True, checked=checked,
+                )
+            x = nxt
 
-    def complete_jobs(p_hi: int, busy_evals: int) -> ScenarioOutcome | None:
-        """Solve completions for jobs ``next_p..p_hi`` (all provably in
-        the busy period); an abort outcome, or ``None`` to continue."""
-        nonlocal evaluations, solves, warm_solves, worst, worst_job
-        nonlocal checked, prev_completion, next_p
-        while next_p <= p_hi:
-            p = next_p
+        # Job-chained warm start: the completion map of job p+1 dominates
+        # job p's pointwise (one more own job), so its least fixed point is
+        # at or above job p's -- iterating from the previous completion
+        # reaches the same fixed point in fewer steps.
+        for p in range(next_p, p_hi + 1):
             done = base + (p - p0 + 1) * cost
+            # Activation instant of job p measured from the transaction
+            # activation (phi + (p-1)T - phi_bar); a completion iterate
+            # above ``response_ceiling + act`` implies a response past the
+            # ceiling.
             act = phi_ab + (p - 1) * T - analyzed.phi
             limit = response_ceiling + act
             warm = (
@@ -339,42 +213,36 @@ def _solve_scenario_verdict(
             evals = 0
             while True:
                 evals += 1
-                nxt = done + eval_inter(w)
+                if memo is None:
+                    inter = interference(w)
+                else:
+                    inter = memo.get(w)
+                    if inter is None:
+                        inter = memo[w] = interference(w)
+                nxt = done + inter
                 if nxt > bound:
-                    note_solves(
-                        evaluations + busy_evals, solves,
-                        warm_started=warm_solves,
-                    )
-                    note_solve(evals, diverged=True, warm_started=warm)
-                    return ScenarioOutcome(
-                        response=float("inf"), worst_job=p,
-                        busy_length=float("inf"), jobs_checked=checked,
-                        evaluations=evaluations + busy_evals + evals,
+                    return _abort(
+                        evaluations + busy_evals, solves, warm_solves, evals,
+                        diverged=True, warm=warm, job=p, busy_length=L,
+                        checked=checked,
                     )
                 if nxt > limit:
-                    note_solves(
-                        evaluations + busy_evals, solves,
-                        warm_started=warm_solves,
-                    )
-                    note_solve(evals, warm_started=warm)
+                    # Verdict-mode early exit: the iterate is a lower bound
+                    # on this job's response, which lower-bounds the
+                    # scenario's worst response -- the miss is proven.
                     note_ceiling_exit()
-                    return ScenarioOutcome(
-                        response=float("inf"), worst_job=p,
-                        busy_length=float("inf"), jobs_checked=checked,
-                        evaluations=evaluations + busy_evals + evals,
+                    return _abort(
+                        evaluations + busy_evals, solves, warm_solves, evals,
+                        diverged=False, warm=warm, job=p, busy_length=L,
+                        checked=checked,
                     )
                 if -tol <= nxt - w <= tol:
                     break
                 if evals >= _MAX_ITERATIONS:
-                    note_solves(
-                        evaluations + busy_evals, solves,
-                        warm_started=warm_solves,
-                    )
-                    note_solve(evals, diverged=True, warm_started=warm)
-                    return ScenarioOutcome(
-                        response=float("inf"), worst_job=p,
-                        busy_length=float("inf"), jobs_checked=checked,
-                        evaluations=evaluations + busy_evals + evals,
+                    return _abort(
+                        evaluations + busy_evals, solves, warm_solves, evals,
+                        diverged=True, warm=warm, job=p, busy_length=L,
+                        checked=checked,
                     )
                 w = nxt
             evaluations += evals
@@ -382,68 +250,44 @@ def _solve_scenario_verdict(
             if warm:
                 warm_solves += 1
             prev_completion = nxt
+            # Response measured from the transaction activation that
+            # released job p (see ``act`` above).
             r = nxt - act
             checked += 1
             if r > worst:
                 worst = r
                 worst_job = p
-            next_p += 1
-        return None
+        next_p = p_hi + 1
 
-    # Busy-period length loop, with incremental completion solves: the
-    # iterate sequence, own-job window arithmetic and divergence handling
-    # mirror solve_scenario exactly.
-    x = start
-    busy_evals = 0
-    while True:
-        xx = (x - phi_ab) / T
-        nearest = round(xx)
-        own_jobs = (
-            nearest if abs(xx - nearest) <= EPS else ceil_(xx)
-        ) + shift
-        if own_jobs < 0:
-            own_jobs = 0
-        if own_jobs > next_p - p0:
-            abort = complete_jobs(p0 + own_jobs - 1, busy_evals)
-            if abort is not None:
-                return abort
-        busy_evals += 1
-        nxt = base + own_jobs * cost + eval_inter(x)
-        if nxt > bound:
-            note_solves(evaluations, solves, warm_started=warm_solves)
-            note_solve(busy_evals, diverged=True)
-            return ScenarioOutcome(
-                response=float("inf"), worst_job=None,
-                busy_length=float("inf"), jobs_checked=checked,
-                evaluations=evaluations + busy_evals,
-            )
-        if -tol <= nxt - x <= tol:
+        if L != _INF:
             break
-        if busy_evals >= _MAX_ITERATIONS:
-            note_solves(evaluations, solves, warm_started=warm_solves)
-            note_solve(busy_evals, diverged=True)
-            return ScenarioOutcome(
-                response=float("inf"), worst_job=None,
-                busy_length=float("inf"), jobs_checked=checked,
-                evaluations=evaluations + busy_evals,
-            )
-        x = nxt
-    L = nxt
-    evaluations += busy_evals
-    solves += 1
 
-    p_last = ceil_div(L - phi_ab, T)  # Eq. 14
-    if p_last < p0:
-        note_solves(evaluations, solves, warm_started=warm_solves)
-        return ScenarioOutcome(
-            response=float("-inf"), worst_job=None, busy_length=L,
-            jobs_checked=0, evaluations=evaluations,
-        )
-    abort = complete_jobs(p_last, 0)
-    if abort is not None:
-        return abort
+    # With no job of the analyzed task inside the busy period (p_hi < p0)
+    # the response stays -inf: the scenario constrains nothing.
     note_solves(evaluations, solves, warm_started=warm_solves)
     return ScenarioOutcome(
-        response=worst, worst_job=worst_job, busy_length=L,
-        jobs_checked=checked, evaluations=evaluations,
+        response=worst, worst_job=worst_job, busy_length=L, jobs_checked=checked,
+        evaluations=evaluations,
+    )
+
+
+def _abort(
+    evaluations: int,
+    solves: int,
+    warm_solves: int,
+    evals: int,
+    *,
+    diverged: bool,
+    warm: bool = False,
+    job: int | None = None,
+    busy_length: float = _INF,
+    checked: int = 0,
+) -> ScenarioOutcome:
+    """Charge the closed solves plus the aborted one (*evals* evaluations);
+    the scenario's response is infinite."""
+    note_solves(evaluations, solves, warm_started=warm_solves)
+    note_solve(evals, diverged=diverged, warm_started=warm)
+    return ScenarioOutcome(
+        response=_INF, worst_job=job, busy_length=busy_length,
+        jobs_checked=checked, evaluations=evaluations + evals,
     )

@@ -67,7 +67,9 @@ output, exit nonzero) to chosen shard attempts through the
 :data:`repro.batch.faults.FAULT_ENV` environment variable.
 
 Every shard attempt is one ``python -m repro campaign --spec ...
---shard i/n`` command line, launched through a pluggable *backend*.
+--shard i/n`` command line, built whole by the dispatcher (callers add
+no flags, so every shard collects and checkpoints its cells) and
+launched through a pluggable *backend*.
 :class:`LocalBackend` (the local host, the tested default) runs it in a
 child forked from one warm per-dispatch zygote
 (:mod:`repro.batch.zygote`), so a shard skips interpreter start-up and
@@ -639,14 +641,6 @@ class CampaignDispatcher:
         A :class:`repro.batch.faults.FaultPlan` delivered to matching
         shard attempts through the environment (kill/hang/heartbeat-drop/
         corrupt/exit at exact cell boundaries).
-    shard_args:
-        Extra argv appended to every shard command line.  Flags the
-        dispatcher builds itself (``--spec``, ``--shard``, ``--json``,
-        ``--checkpoint``, ...) and collection-disabling flags
-        (``--no-collect`` / ``--collect none``, which conflict with the
-        always-on checkpointing) are rejected up front with
-        :class:`ValueError` -- passing them through would make every
-        shard fail every attempt at launch time.
     store:
         Root directory of a content-addressed result store
         (:class:`repro.batch.store.ResultStore`) passed to every shard
@@ -695,7 +689,6 @@ class CampaignDispatcher:
         backoff_base: float = 0.0,
         backoff_max: float = 60.0,
         split_after: float | None = None,
-        shard_args: Sequence[str] = (),
         faults: FaultPlan | None = None,
         store: str | Path | None = None,
         transport: SharedDirTransport | CopyBackTransport | None = None,
@@ -726,8 +719,6 @@ class CampaignDispatcher:
             raise ValueError("backoff_max must be >= 0")
         if split_after is not None and split_after < 0:
             raise ValueError("split_after must be >= 0 (or None)")
-        shard_args = list(shard_args)
-        self._validate_shard_args(shard_args)
         Campaign(spec)  # validates generator/method names up front
         self.spec = spec
         self._spec_dict = spec.to_dict()
@@ -760,7 +751,6 @@ class CampaignDispatcher:
         self.backoff_base = backoff_base
         self.backoff_max = backoff_max
         self.split_after = split_after
-        self.shard_args = shard_args
         self.faults = faults
         self.store = Path(store) if store is not None else None
         self.transport = (
@@ -793,41 +783,6 @@ class CampaignDispatcher:
             # Arming transport faults on a transport that performs no
             # transfers is a harness bug and fails loudly here.
             self.transport.arm(self.faults.for_transport())
-
-    #: Flags every shard command line already carries (or that the
-    #: dispatcher may append); a duplicate from ``shard_args`` would make
-    #: the child's argument parsing fail on every attempt, and
-    #: ``--max-cells`` would truncate every attempt.
-    _OWNED_FLAGS = frozenset({
-        "--spec", "--shard", "--partition", "--workers", "--json",
-        "--checkpoint", "--checkpoint-every", "--resume", "--max-cells",
-        "--cost-manifest", "--store", "--heartbeat", "--heartbeat-interval",
-        "--chains",
-    })
-
-    @classmethod
-    def _validate_shard_args(cls, shard_args: list[str]) -> None:
-        for i, arg in enumerate(shard_args):
-            head, _, inline = arg.partition("=")
-            owned = sorted(cls._OWNED_FLAGS & {head})
-            if owned:
-                raise ValueError(
-                    f"shard_args may not set {owned[0]!r}: the dispatcher "
-                    "builds that flag itself for every shard subprocess"
-                )
-            value = inline or (
-                shard_args[i + 1] if i + 1 < len(shard_args) else ""
-            )
-            if head == "--no-collect" or (
-                head == "--collect" and value == "none"
-            ):
-                raise ValueError(
-                    "shard_args disable cell collection "
-                    "(--no-collect / --collect none), but every dispatched "
-                    "shard checkpoints its partial result, which requires "
-                    "collected cells; drop the flag or run the campaign "
-                    "undispatched"
-                )
 
     # -- paths -------------------------------------------------------------
 
@@ -916,7 +871,7 @@ class CampaignDispatcher:
         if resume is not None:
             argv += ["--resume", wp(resume)]
             record.resumed_attempts += 1
-        return argv + self.shard_args
+        return argv
 
     # -- crash-consistent reads --------------------------------------------
 

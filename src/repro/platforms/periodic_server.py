@@ -37,7 +37,7 @@ class PeriodicServer(AbstractPlatform):
         assumed to run on a unit-speed processor so cycles equal time while
         the server executes).
     period:
-        The replenishment period :math:`P`; must satisfy ``budget <= period``.
+        The budget refill period :math:`P`; must satisfy ``budget <= period``.
     """
 
     def __init__(self, budget: float, period: float, *, name: str = "") -> None:

@@ -23,7 +23,7 @@ __all__ = ["ReservationServer", "PollingServer", "DeferrableServer", "CBSServer"
 
 
 class ReservationServer(PeriodicServer):
-    """A budget/period reservation with an explicit replenishment policy.
+    """A budget/period reservation with an explicit budget-refill policy.
 
     Parameters
     ----------

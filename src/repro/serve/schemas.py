@@ -12,7 +12,7 @@ subset of a :class:`~repro.batch.campaign.CampaignResult` JSON document.
 ``GET /campaigns/{id}/result`` must return byte-identical bodies for two
 runs of the same spec (and match what ``python -m repro campaign --json``
 wrote, modulo wall-clock), so the payload drops every volatile execution
-field -- wall seconds, worker counts, store/shm/resume accounting,
+field -- wall seconds, worker counts, store/resume accounting,
 per-cell ``time_s`` -- and serializes through
 :func:`repro.batch.canonical.canonical_json`.  Non-finite metric floats
 (an unschedulable cell's ``max_wcrt_ratio`` is ``inf``, an aborted
@@ -172,7 +172,7 @@ class CampaignRequest:
 # -- canonical result payload ----------------------------------------------
 
 #: CampaignResult fields that vary run to run without changing what was
-#: computed.  ``chain_costs`` are recorded wall seconds; the store/shm/
+#: computed.  ``chain_costs`` are recorded wall seconds; the store and
 #: resume counters describe *how* cells were obtained, not their values.
 _VOLATILE_RESULT_FIELDS = frozenset(
     {
@@ -182,8 +182,6 @@ _VOLATILE_RESULT_FIELDS = frozenset(
         "reused_cells",
         "reseed_solves",
         "reseed_evaluations",
-        "shm_records",
-        "shm_overflow",
         "store_hits",
         "store_misses",
         "chain_costs",

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import functools
-
 import pytest
 
 from repro.paper import sensor_fusion_system
@@ -62,33 +60,6 @@ _NUMPY_TEST_FILES = [
 ]
 
 collect_ignore = [] if _HAVE_NUMPY else list(_NUMPY_TEST_FILES)
-
-
-@functools.lru_cache(maxsize=1)
-def _shared_memory_usable() -> bool:
-    """Whether multiprocessing.shared_memory actually works on this runner.
-
-    Constrained runners (no /dev/shm, seccomp-filtered shm_open) can import
-    the module yet fail to allocate; probe with a real segment.
-    """
-    try:
-        from multiprocessing import shared_memory
-
-        seg = shared_memory.SharedMemory(create=True, size=16)
-        seg.close()
-        seg.unlink()
-        return True
-    except Exception:
-        return False
-
-
-@pytest.fixture
-def shm_guard() -> None:
-    """Skip (not fail) `dist`-marked tests that need real shared memory."""
-    if not _shared_memory_usable():
-        pytest.skip(
-            "multiprocessing.shared_memory is unusable on this runner"
-        )
 
 
 @pytest.fixture

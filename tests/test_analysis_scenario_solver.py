@@ -1,11 +1,13 @@
 """Direct unit tests of the per-scenario busy-period solver."""
 
 import math
+from dataclasses import asdict
 
 import pytest
 
-from repro.analysis._scenario import solve_scenario
+from repro.analysis._scenario import ScenarioOutcome, solve_scenario
 from repro.analysis.busy import AnalyzedTask
+from repro.util.fixedpoint import fixed_point_stats
 
 
 def analyzed(
@@ -125,3 +127,26 @@ class TestDivergence:
             interference=lambda t: t * 1.1, bound=1e4,
         )
         assert math.isinf(out.response)
+
+    def test_exact_divergent_busy_period_accounting_pinned(self):
+        """Exact mode (no ceiling) runs the busy-length loop to its bound
+        before any completion solve.  A body that solved completions as
+        the diverging window widened would charge 3,347 evaluations,
+        951 solves and 950 warm starts here instead."""
+        task = analyzed(period=10.0, deadline=10.0, cost=1.0, delay=0.0)
+        step = 10.0 * 1.005 - 1.0  # the util=1.005 saturated scenario
+
+        def interference(t):
+            return step * math.ceil(max(t, 0.0) / 10.0)
+
+        before = fixed_point_stats()
+        out = solve_scenario(task, 0.0, interference, bound=1e4)
+        delta = asdict(fixed_point_stats().delta(before))
+        assert out == ScenarioOutcome(
+            response=math.inf, worst_job=None, busy_length=math.inf,
+            jobs_checked=0, evaluations=457,
+        )
+        assert delta == {
+            **{name: 0 for name in delta},
+            "evaluations": 457, "solves": 1, "diverged": 1,
+        }

@@ -259,6 +259,32 @@ class TestCli:
         rc = cli_main(["campaign", "--grid", "garbage"])
         assert rc == 2
 
+    @pytest.mark.parametrize("chunk_size", ["0", "-1"])
+    def test_chunk_size_below_one_rejected(self, chunk_size, tmp_path, capsys):
+        json_out = tmp_path / "r.json"
+        rc = cli_main([
+            "campaign",
+            "--grid", "utilization=0.3,0.6",
+            "--transactions", "2",
+            "--tasks", "1,2",
+            "--systems", "2",
+            "--workers", "2",
+            "--chunk-size", chunk_size,
+            "--json", str(json_out),
+        ])
+        assert rc == 2
+        assert "error: chunk_size must be >= 1" in capsys.readouterr().err
+        assert not json_out.exists()
+
+    def test_collect_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli_main([
+                "campaign", "--grid", "utilization=0.3",
+                "--collect", "shm",
+            ])
+        assert exc.value.code == 2
+        assert "--collect" in capsys.readouterr().err
+
 
 @pytest.mark.slow
 class TestCampaignAtScale:
@@ -403,7 +429,7 @@ class TestCheckpoint:
                 workers=1,
                 checkpoint=tmp_path / "c.json",
                 checkpoint_every=2,
-                collect="none",
+                collect=False,
                 stream_csv=tmp_path / "s.csv",
             )
 
@@ -550,172 +576,168 @@ class TestStreamingCsv:
         assert rows_without_timing(a_path) == rows_without_timing(b_path)
 
 
-class TestShmCollection:
-    """ISSUE 3 satellite: ``collect="shm"`` must equal ``collect="pickle"``
-    cell for cell, including when the ring overflows into the fallback."""
+class TestPoolCollection:
+    """Pool workers return their cells through the executor: a pooled run
+    keeps exactly the cells, extras and streamed rows of an inline one.
+    ``collect`` and ``chunk_size`` are validated on every path."""
 
     @pytest.mark.dist
-    def test_shm_equals_pickle_two_workers(self, shm_guard):
-        spec = small_spec(systems_per_cell=4)
-        pickle_r = Campaign(spec).run(workers=2, collect="pickle")
-        shm_r = Campaign(spec).run(workers=2, collect="shm")
-        assert shm_r.metrics() == pickle_r.metrics()
-        # Everything fit the default ring: no pickle fallback.
-        assert shm_r.shm_records == len(shm_r.cells)
-        assert shm_r.shm_overflow == 0
-        # The extras dicts survive the fixed-width JSON tail bit for bit.
-        assert [c.extras for c in shm_r.cells] == [
-            c.extras for c in pickle_r.cells
-        ]
-        # And the wall-clock payloads decoded from the ring are sane f64s.
-        assert all(c.time_s > 0 for c in shm_r.cells)
-
-    @pytest.mark.dist
-    def test_ring_overflow_falls_back_to_pickle(self, shm_guard):
-        from repro.batch.campaign import SHM_RECORD_SIZE
-
-        spec = small_spec(systems_per_cell=4)
-        reference = Campaign(spec).run(workers=1)
-        # Room for exactly two records: everything else must overflow.
-        shm_r = Campaign(
-            spec
-        ).run(workers=2, collect="shm", shm_bytes=2 * SHM_RECORD_SIZE)
-        assert shm_r.metrics() == reference.metrics()
-        assert 0 < shm_r.shm_records <= 2
-        assert shm_r.shm_overflow == len(shm_r.cells) - shm_r.shm_records
-
-    @pytest.mark.dist
-    def test_oversized_extras_overflow_per_record(self, shm_guard):
-        """A record whose extras exceed the fixed width ships via pickle;
-        small records still use the ring."""
-        def chatty(system, warm_start):
-            return MethodOutcome(
-                schedulable=True, extras={"blob": "x" * 4096}
-            )
-
-        register_method("test_chatty", chatty)
-        spec = small_spec(
-            methods=("reduced", "test_chatty"), systems_per_cell=4
-        )
-        pickle_r = Campaign(spec).run(workers=2, collect="pickle")
-        shm_r = Campaign(spec).run(workers=2, collect="shm")
-        assert shm_r.metrics() == pickle_r.metrics()
-        assert [c.extras for c in shm_r.cells] == [
-            c.extras for c in pickle_r.cells
-        ]
-        n = len(shm_r.cells)
-        assert shm_r.shm_records == n // 2      # the 'reduced' cells
-        assert shm_r.shm_overflow == n // 2     # the oversized ones
-
-    @pytest.mark.dist
-    def test_shm_streaming_same_rows(self, shm_guard, tmp_path):
-        import csv as csv_mod
-
-        spec = small_spec(systems_per_cell=4)
-        a_path = tmp_path / "pickle.csv"
-        b_path = tmp_path / "shm.csv"
-        Campaign(spec).run(workers=2, stream_csv=a_path, collect="pickle")
-        Campaign(spec).run(workers=2, stream_csv=b_path, collect="shm")
-
-        def rows_without_timing(path):
-            with path.open() as fh:
-                rows = list(csv_mod.reader(fh))
-            return sorted(tuple(r[:-1]) for r in rows[1:])
-
-        assert rows_without_timing(a_path) == rows_without_timing(b_path)
-
-    @pytest.mark.dist
-    def test_stream_only_runs_route_through_the_ring(self, shm_guard, tmp_path):
-        """ISSUE 4 satellite (ROADMAP open item): ``--stream-csv`` with
-        ``collect="none"`` carries rows through the shared-memory ring --
-        no pickle round-trip -- and writes the same CSV as the pickle
-        transport."""
-        import csv as csv_mod
-
-        spec = small_spec(systems_per_cell=4)
-        ring_path = tmp_path / "ring.csv"
-        pickle_path = tmp_path / "pickle.csv"
-        ring_r = Campaign(spec).run(
-            workers=2, stream_csv=ring_path, collect="none"
-        )
-        pickle_r = Campaign(spec).run(
-            workers=2, stream_csv=pickle_path, collect="pickle"
-        )
-        # The stream-only run really used the ring...
-        assert ring_r.shm_records == ring_r.streamed_cells > 0
-        assert ring_r.shm_overflow == 0
-        # ...kept nothing in memory...
-        assert ring_r.cells == []
-        # ...and streamed the identical rows, in the identical order.
-        def rows_without_timing(path):
-            with path.open() as fh:
-                rows = list(csv_mod.reader(fh))
-            return [tuple(r[:-1]) for r in rows]
-
-        assert rows_without_timing(ring_path) == rows_without_timing(pickle_path)
-
-    @pytest.mark.dist
-    def test_stream_only_ring_overflow_still_streams_everything(
-        self, shm_guard, tmp_path
-    ):
-        from repro.batch.campaign import SHM_RECORD_SIZE
-
-        spec = small_spec(systems_per_cell=4)
-        path = tmp_path / "tiny_ring.csv"
-        result = Campaign(spec).run(
-            workers=2, stream_csv=path, collect="none",
-            shm_bytes=2 * SHM_RECORD_SIZE,
-        )
-        assert result.streamed_cells == spec.n_analyses()
-        assert 0 < result.shm_records <= 2
-        assert result.shm_overflow == result.streamed_cells - result.shm_records
-
-    @pytest.mark.dist
-    def test_json_unstable_extras_overflow_per_record(self, shm_guard):
-        """Extras that would not survive the JSON round trip unchanged
-        (e.g. int dict keys, which JSON stringifies) must ship via the
-        pickle fallback so shm stays bit-identical to pickle."""
+    def test_int_keyed_extras_survive_the_pool(self):
         def int_keyed(system, warm_start):
             return MethodOutcome(schedulable=True, extras={1: "x"})
 
         register_method("test_int_keyed", int_keyed)
         spec = small_spec(methods=("test_int_keyed",), systems_per_cell=4)
-        pickle_r = Campaign(spec).run(workers=2, collect="pickle")
-        shm_r = Campaign(spec).run(workers=2, collect="shm")
-        assert [c.extras for c in shm_r.cells] == [
-            c.extras for c in pickle_r.cells
+        pooled = Campaign(spec).run(workers=2)
+        inline = Campaign(spec).run(workers=1)
+        assert pooled.metrics() == inline.metrics()
+        assert [c.extras for c in pooled.cells] == [
+            c.extras for c in inline.cells
         ]
-        assert shm_r.cells[0].extras == {1: "x"}  # key type preserved
-        assert shm_r.shm_records == 0
-        assert shm_r.shm_overflow == len(shm_r.cells)
+        assert pooled.cells[0].extras == {1: "x"}  # key type preserved
 
-    def test_single_worker_shm_degrades_to_inline(self):
-        """workers=1 has no IPC to optimize; collect='shm' still works."""
-        spec = small_spec()
-        inline = Campaign(spec).run(workers=1, collect="shm")
-        reference = Campaign(spec).run(workers=1)
-        assert inline.metrics() == reference.metrics()
-        assert inline.shm_records == 0
+    @pytest.mark.dist
+    def test_pooled_cells_equal_inline_two_workers(self):
+        spec = small_spec(systems_per_cell=4)
+        pooled = Campaign(spec).run(workers=2)
+        inline = Campaign(spec).run(workers=1)
+        assert pooled.metrics() == inline.metrics()
+        # The analyses' own extras dicts come home unchanged...
+        assert [c.extras for c in pooled.cells] == [
+            c.extras for c in inline.cells
+        ]
+        # ...and so do the per-cell wall-clock payloads.
+        assert all(c.time_s > 0 for c in pooled.cells)
 
-    def test_invalid_collect_rejected(self):
+    @pytest.mark.dist
+    def test_pooled_streamed_rows_equal_the_kept_cells(self, tmp_path):
+        spec = small_spec(systems_per_cell=4)
+        streamed_path = tmp_path / "streamed.csv"
+        kept_path = tmp_path / "kept.csv"
+        result = Campaign(spec).run(workers=2, stream_csv=streamed_path)
+        result.write_cells_csv(kept_path)
+        assert result.streamed_cells == len(result.cells) == spec.n_analyses()
+
+        def rows(path):
+            with path.open() as fh:
+                return list(csv.reader(fh))
+
+        # Every streamed row, timing included, is a cell the run kept,
+        # written in the order the run kept them.
+        assert rows(streamed_path) == rows(kept_path)
+
+    @pytest.mark.dist
+    def test_pooled_stream_only_run_streams_the_collected_rows(
+        self, tmp_path
+    ):
+        spec = small_spec(systems_per_cell=4)
+        bare_path = tmp_path / "bare.csv"
+        kept_path = tmp_path / "kept.csv"
+        bare = Campaign(spec).run(
+            workers=2, stream_csv=bare_path, collect=False
+        )
+        kept = Campaign(spec).run(workers=2, stream_csv=kept_path)
+        assert bare.cells == []
+        assert len(kept.cells) == spec.n_analyses()
+        assert bare.streamed_cells == kept.streamed_cells == spec.n_analyses()
+
+        def rows_without_timing(path):
+            with path.open() as fh:
+                return [tuple(r[:-1]) for r in csv.reader(fh)]
+
+        # Same rows in the same order: chunk results arrive in
+        # submission order whether or not the cells are kept.
+        assert rows_without_timing(bare_path) == rows_without_timing(
+            kept_path
+        )
+
+    @pytest.mark.parametrize(
+        "collect", ["shm", "pickle", "none", "carrier_pigeon", 1, None]
+    )
+    def test_non_bool_collect_rejected(self, collect):
         with pytest.raises(ValueError, match="collect"):
-            Campaign(small_spec()).run(workers=1, collect="carrier_pigeon")
+            Campaign(small_spec()).run(workers=1, collect=collect)
 
-    def test_cli_collect_shm(self, tmp_path, capsys):
-        json_out = tmp_path / "result.json"
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("chunk_size", [0, -1])
+    def test_chunk_size_below_one_rejected(self, workers, chunk_size):
+        with pytest.raises(ValueError, match="chunk_size must be >= 1"):
+            Campaign(small_spec()).run(
+                workers=workers, chunk_size=chunk_size
+            )
+
+
+class TestParentFormatFiles:
+    """Result files written before the shared-memory ring was removed
+    carry ``shm_records``/``shm_overflow``; they still load, merge and
+    resume, and nothing writes those keys any more."""
+
+    @staticmethod
+    def _write_old(result: CampaignResult, path):
+        data = result.to_dict()
+        data.update(shm_records=5, shm_overflow=1)
+        path.write_text(json.dumps(data))
+        return path
+
+    def test_to_dict_has_no_ring_counters(self):
+        data = Campaign(small_spec()).run(workers=1).to_dict()
+        assert not {"shm_records", "shm_overflow"} & set(data)
+
+    def test_old_shard_files_merge(self, tmp_path, capsys):
+        spec = small_spec(systems_per_cell=4)
+        full = Campaign(spec).run(workers=1)
+        paths = [
+            self._write_old(
+                Campaign(spec).run(workers=1, shard=(k, 2)),
+                tmp_path / f"shard{k}.json",
+            )
+            for k in range(2)
+        ]
+        merged_path = tmp_path / "merged.json"
         rc = cli_main([
-            "campaign",
-            "--grid", "utilization=0.3,0.6",
-            "--transactions", "2",
-            "--tasks", "1,2",
-            "--systems", "2",
-            "--workers", "2",
-            "--collect", "shm",
-            "--json", str(json_out),
+            "campaign-merge", *map(str, paths), "--json", str(merged_path),
         ])
         assert rc == 0
-        loaded = CampaignResult.load_json(json_out)
-        assert len(loaded.cells) == 4
+        assert CampaignResult.load_json(merged_path).metrics() == full.metrics()
+        assert "shm_records" not in json.loads(merged_path.read_text())
+
+    def test_old_checkpoint_resumes(self, tmp_path, capsys):
+        spec = small_spec(systems_per_cell=4)
+        full = Campaign(spec).run(workers=1)
+        old = self._write_old(
+            Campaign(spec).run(workers=1, max_cells=5), tmp_path / "ck.json"
+        )
+        api = Campaign(spec).run(
+            workers=1, resume_from=CampaignResult.load_json(old)
+        )
+        assert api.metrics() == full.metrics()
+        assert api.reused_cells == 5
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec.to_dict()))
+        out = tmp_path / "resumed.json"
+        rc = cli_main([
+            "campaign", "--spec", str(spec_path), "--resume", str(old),
+            "--json", str(out),
+        ])
+        assert rc == 0
+        resumed = CampaignResult.load_json(out)
+        assert resumed.metrics() == full.metrics()
+        assert resumed.reused_cells == 5
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_canonical_result_json_pinned(self, workers):
+        """Byte-stable across the removal: the digest was computed before
+        the ring and its counters were deleted."""
+        import hashlib
+
+        from repro.serve.schemas import canonical_result_json
+
+        spec = small_spec(methods=("reduced", "verdict"))
+        result = Campaign(spec).run(workers=workers)
+        digest = hashlib.sha256(canonical_result_json(result)).hexdigest()
+        assert digest == (
+            "d660fcca3f0a9b1f576a9b45602b09dd71d0e5136ff9dc99431fcd49d8ae065b"
+        )
 
 
 class TestChainScaling:

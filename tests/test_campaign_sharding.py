@@ -219,7 +219,7 @@ class TestShardUnion:
         assert merged.metrics() == full.metrics()
 
     @pytest.mark.dist
-    def test_sharded_parallel_equals_serial(self, shm_guard):
+    def test_sharded_parallel_equals_serial(self):
         spec = spec_variant(1)
         serial = Campaign(spec).run(workers=1, shard=(0, 2))
         parallel = Campaign(spec).run(workers=2, shard=(0, 2))

@@ -274,34 +274,26 @@ class TestStaleWorkDir:
         assert accepted.metrics() == ours.metrics()
 
 
-class TestShardArgsValidation:
-    def test_collection_disabling_flags_rejected(self, tmp_path):
+class TestParentFormatCheckpoint:
+    @pytest.mark.dist
+    def test_checkpoint_with_ring_counters_is_resumed(self, tmp_path):
+        """A shard checkpoint written before the shared-memory ring was
+        removed (it carries ``shm_records``/``shm_overflow``) is still a
+        valid resume source."""
         spec = make_spec()
-        for bad in (
-            ["--no-collect"],
-            ["--collect", "none"],
-            ["--collect=none"],
-        ):
-            with pytest.raises(ValueError, match="disable cell collection"):
-                CampaignDispatcher(
-                    spec, shards=1, workers=1, work_dir=tmp_path,
-                    shard_args=bad,
-                )
-
-    def test_dispatcher_owned_flags_rejected(self, tmp_path):
-        spec = make_spec()
-        for bad in (["--json", "x.json"], ["--checkpoint=x"], ["--resume"]):
-            with pytest.raises(ValueError, match="may not set"):
-                CampaignDispatcher(
-                    spec, shards=1, workers=1, work_dir=tmp_path,
-                    shard_args=bad,
-                )
-
-    def test_benign_shard_args_accepted(self, tmp_path):
-        CampaignDispatcher(
-            make_spec(), shards=1, workers=1, work_dir=tmp_path,
-            shard_args=["--chunk-size", "2", "--collect", "pickle"],
+        full = Campaign(spec).run(workers=1)
+        dispatcher = CampaignDispatcher(
+            spec, shards=2, workers=1, work_dir=tmp_path, checkpoint_every=2
         )
+        old = Campaign(spec).run(workers=1, shard=(0, 2), max_cells=3)
+        data = old.to_dict()
+        data.update(shm_records=3, shm_overflow=0)
+        dispatcher._checkpoint_path(0).write_text(json.dumps(data))
+        report = dispatcher.run()
+        assert report.result.metrics() == full.metrics()
+        assert report.result.reused_cells == 3
+        resumed = next(s for s in report.shards if s.shard == 0)
+        assert resumed.resumed_attempts == 1
 
 
 class TestLogExcerpt:

@@ -812,15 +812,6 @@ class TestRecoveryPolicy:
         # And the adaptive poll ceiling follows the effective interval.
         assert dispatcher.poll_max == pytest.approx(0.5)
 
-    def test_owned_heartbeat_and_chains_flags_rejected(self, tmp_path):
-        for bad in (["--heartbeat", "x"], ["--chains", "1"],
-                    ["--heartbeat-interval=2"]):
-            with pytest.raises(ValueError, match="may not set"):
-                CampaignDispatcher(
-                    tiny_spec(), shards=1, workers=1, work_dir=tmp_path,
-                    shard_args=bad,
-                )
-
     def test_report_summary_shows_attempt_history(self):
         result = Campaign(tiny_spec()).run(workers=1)
         shards = [

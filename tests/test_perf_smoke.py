@@ -6,7 +6,7 @@ Two layers of protection for the throughput numbers the ROADMAP tracks:
   campaign benchmark writes (so downstream tooling and the next re-anchor
   can rely on it), and the recorded speedups must meet the ISSUE 2
   acceptance floor plus the ISSUE 3 distributed-execution blocks
-  (``sharding`` with its >= 1.8x aggregate pin, ``collection``,
+  (``sharding`` with its >= 1.8x aggregate pin,
   ``wide_view``), the ISSUE 4 ``verdict_mode`` block (verdict-mode
   pipeline >= 2.5x the exact pipeline on the reference sweep, with the
   benchmark itself asserting >= 3x at measurement time), and the ISSUE 6
@@ -83,14 +83,6 @@ SHARDING_FIELDS = {
     "aggregate_speedup",
 }
 
-#: Per-mode fields of the ISSUE 3 collection block.
-COLLECTION_MODE_FIELDS = {
-    "wall_time_s",
-    "systems_per_second",
-    "shm_records",
-    "shm_overflow",
-}
-
 
 #: Fields of the ISSUE 4 verdict_mode block.
 VERDICT_EXACT_FIELDS = {"wall_time_s", "systems_per_second",
@@ -110,7 +102,7 @@ class TestBenchSchema:
     def test_top_level_keys(self, payload):
         assert {
             "description", "sweep", "pr1_reference", "runs", "speedups",
-            "sharding", "collection", "wide_view", "verdict_mode",
+            "sharding", "wide_view", "verdict_mode",
             "result_store",
         } <= set(payload)
 
@@ -170,18 +162,6 @@ class TestBenchSchema:
             rel=1e-6,
         )
         assert sharding["aggregate_speedup"] >= 1.8
-
-    def test_collection_block(self, payload):
-        collection = payload["collection"]
-        assert {"pickle", "shm", "shm_vs_pickle"} <= set(collection)
-        for mode in ("pickle", "shm"):
-            missing = COLLECTION_MODE_FIELDS - set(collection[mode])
-            assert not missing, f"{mode} lacks {sorted(missing)}"
-            assert collection[mode]["wall_time_s"] > 0
-        # The shm run really went through the ring, not the fallback.
-        assert collection["shm"]["shm_records"] > 0
-        assert collection["pickle"]["shm_records"] == 0
-        assert collection["shm_vs_pickle"] > 0
 
     def test_verdict_mode_block(self, payload):
         """ISSUE 4 acceptance: the verdict-mode pipeline on the reference

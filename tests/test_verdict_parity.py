@@ -547,15 +547,17 @@ class TestCampaignPruning:
         resumed = campaign.run(workers=1, resume_from=partial)
         assert _verdict_map(resumed) == _verdict_map(full)
 
-    def test_pickle_and_shm_collection_agree_on_pruned_cells(self):
+    def test_pool_and_inline_agree_on_pruned_cells(self):
         campaign = Campaign(
             CampaignSpec(methods=("verdict",), **CAMPAIGN_KW)
         )
-        pickle_run = campaign.run(workers=2, collect="pickle")
-        shm_run = campaign.run(workers=2, collect="shm")
-        assert shm_run.metrics() == pickle_run.metrics()
-        assert [c.extras for c in shm_run.cells] == [
-            c.extras for c in pickle_run.cells
+        inline = campaign.run(workers=1)
+        pooled = campaign.run(workers=2)
+        assert pooled.metrics() == inline.metrics()
+        # Provenance extras (verdict_inferred/from_level) included.
+        assert any(c.extras.get("verdict_inferred") for c in pooled.cells)
+        assert [c.extras for c in pooled.cells] == [
+            c.extras for c in inline.cells
         ]
 
 
