@@ -44,6 +44,7 @@ from repro.analysis.interfaces import (
 from repro.analysis.reduced import response_time_reduced
 from repro.model.system import TransactionSystem
 from repro.util.fixedpoint import note_prefilter
+from repro.util.math import MAX_JOB_COUNT
 
 __all__ = [
     "analyze",
@@ -125,6 +126,11 @@ def response_bound_prefilter(
     responses are below the computed ones -- every deadline holds.  The
     reduced analysis is used regardless of ``config.method`` (it upper
     bounds the exact one, so the argument covers both).
+
+    A cap spanning more than :data:`~repro.util.math.MAX_JOB_COUNT`
+    periods is declined as well: the solves would enumerate that many
+    collapsed jobs one by one (a ``1e30`` deadline ran for minutes), and
+    job counts that large no longer snap at EPS anyway.
     """
     best = best_case_response_times(work, method=config.best_case)
     for i, tr in enumerate(work.transactions):
@@ -133,6 +139,8 @@ def response_bound_prefilter(
             cap = deadline - best[(i, j - 1)]
             if cap < 0.0:
                 return None  # cannot cap below zero: inconclusive
+            if cap > MAX_JOB_COUNT * tr.period:
+                return None  # too many jobs to enumerate: inconclusive
             tr.tasks[j].offset = best[(i, j - 1)]
             tr.tasks[j].jitter = cap
     bound = config.busy_bound_factor * max(

@@ -59,7 +59,7 @@ import os
 import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
@@ -595,7 +595,16 @@ class CellResult:
     extras: dict[str, Any] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        """The fields as a new dict, with new ``params`` and ``extras``.
+
+        Nested values are shared, not deep-copied as ``asdict`` would:
+        every caller only reads them, and the copy was most of a shard's
+        result encoding.
+        """
+        data = dict(self.__dict__)
+        data["params"] = dict(self.params)
+        data["extras"] = dict(self.extras)
+        return data
 
     @classmethod
     def from_dict(cls, data: dict) -> "CellResult":
@@ -849,7 +858,7 @@ class CampaignResult:
         )
 
     def save_json(self, path: str | Path) -> Path:
-        """Write the result atomically (write-then-rename).
+        """Write the result as compact JSON, atomically (write-then-rename).
 
         A kill between open and close must never leave a half-written
         JSON at *path*: the dispatcher (and any ``--resume`` consumer)
@@ -863,7 +872,9 @@ class CampaignResult:
         path.parent.mkdir(parents=True, exist_ok=True)
         tmp = path.with_name(path.name + ".tmp")
         with open(tmp, "w", encoding="utf-8") as handle:
-            handle.write(json.dumps(self.to_dict(), indent=2))
+            # No ``indent``: only then does ``json.dumps`` run the C
+            # encoder, one pass instead of the pure-Python one.
+            handle.write(json.dumps(self.to_dict()))
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp, path)

@@ -105,6 +105,7 @@ import heapq
 import json
 import os
 import random
+import select
 import shlex
 import subprocess
 import sys
@@ -565,6 +566,15 @@ class _Running:
     #: never compared against the dispatcher's clock).
     advance_t: float = 0.0
     beat_t: float = 0.0
+    #: A pidfd of the attempt's process (readable once it exits), or
+    #: ``None`` where :func:`_open_pidfd` could not get one.
+    pidfd: int | None = None
+
+    def release(self) -> None:
+        """Close the exit fd: the attempt is over."""
+        if self.pidfd is not None:
+            os.close(self.pidfd)
+            self.pidfd = None
 
 
 class CampaignDispatcher:
@@ -593,13 +603,18 @@ class CampaignDispatcher:
     max_attempts:
         Launch attempts per shard before :class:`DispatchError`.
     poll_interval:
-        Minimum seconds between poll-loop iterations.  The loop adapts:
-        every quiet iteration doubles the sleep up to ``poll_max``, any
-        event (launch, completion, failure, split) snaps it back.
+        Seconds between the poll loop's liveness checks (heartbeat
+        pulls, stall and timeout classification, splits).  A shard's
+        exit wakes the loop at once through a pidfd, so the interval no
+        longer delays a completion; only where no running attempt has
+        a pidfd (non-Linux, kernel < 5.3) does an exit wait for the next
+        check.  The loop adapts: every quiet iteration doubles the wait
+        up to ``poll_max``, any event (launch, completion, failure,
+        split) snaps it back.
     poll_max:
-        Upper bound of the adaptive poll sleep.  Defaults to the
-        effective heartbeat interval, so liveness observations are never
-        starved by a long sleep.
+        Upper bound of the adaptive wait between liveness checks.
+        Defaults to the effective heartbeat interval, so liveness
+        observations are never starved by a long wait.
     checkpoint_every:
         Cells between the shard subprocesses' checkpoint writes.
     stall_after:
@@ -1173,6 +1188,7 @@ class CampaignDispatcher:
                 act2.proc.kill()
                 act2.proc.wait()
                 del running[slot2]
+                act2.release()
                 finish_attempt(
                     act2.record, "evicted",
                     time.perf_counter() - act2.started,
@@ -1241,7 +1257,7 @@ class CampaignDispatcher:
             running[slot] = _Running(
                 record, proc, slot, now,
                 budget=self._attempt_budget(record),
-                advance_t=now, beat_t=now,
+                advance_t=now, beat_t=now, pidfd=_open_pidfd(proc),
             )
             return True
 
@@ -1294,6 +1310,7 @@ class CampaignDispatcher:
             active.proc.kill()
             active.proc.wait()
             del running[active.slot]
+            active.release()
             finish_attempt(active.record, "split", now - active.started)
             # Re-partition *all* assigned chains by remaining cost
             # (completed chains weigh ~0 and resume wholesale), LPT onto
@@ -1377,7 +1394,9 @@ class CampaignDispatcher:
                         min(wait, 1.0) if wait > 0 else self.poll_interval
                     )
                     continue
-                time.sleep(poll)
+                # Wait for the first shard exit, or ``poll`` seconds for
+                # the liveness checks below, whichever comes first.
+                _wait_for_exit(running.values(), poll)
                 now = time.perf_counter()
                 for slot, active in list(running.items()):
                     if slot not in running:
@@ -1414,6 +1433,7 @@ class CampaignDispatcher:
                         active.proc.wait()
                         rc = active.proc.returncode
                     del running[slot]
+                    active.release()
                     events = True
                     # Bring the worker's outputs home before judging the
                     # attempt (no-op on a shared dir).  A failed result
@@ -1459,9 +1479,10 @@ class CampaignDispatcher:
                     fail_attempt(record, outcome, rc)
                 if try_split(time.perf_counter()):
                     events = True
-                # Adaptive poll: quiet iterations back off exponentially
-                # (bounded so heartbeat observation is never starved),
-                # any event snaps the cadence back to the floor.
+                # Adaptive liveness cadence: quiet iterations back off
+                # exponentially (bounded so heartbeat observation is
+                # never starved), any event snaps it back to the floor.
+                # Exits do not wait for it: they wake the wait above.
                 poll = (
                     self.poll_interval
                     if events
@@ -1534,7 +1555,53 @@ class CampaignDispatcher:
             except subprocess.TimeoutExpired:
                 active.proc.kill()
                 active.proc.wait()
+            active.release()
         running.clear()
+
+
+def _open_pidfd(proc) -> int | None:
+    """An fd that turns readable when *proc* exits, or ``None``.
+
+    ``None`` where the platform has no pidfds (non-Linux, kernel < 5.3),
+    the process is already gone (``ESRCH``), or it never ran (a launch
+    under a dead zygote carries a return code and no pid).  The fd
+    cannot name a recycled pid: the zygote reaps a forked shard only
+    when the dispatcher polls it, and a ``Popen`` is reaped only by its
+    own ``poll``/``wait``, so the pid is still the shard's when the fd
+    is opened right after launch, and the fd names that process from
+    then on.
+    """
+    pidfd_open = getattr(os, "pidfd_open", None)
+    if pidfd_open is None or proc.returncode is not None or proc.pid is None:
+        return None
+    try:
+        return pidfd_open(proc.pid)
+    except OSError:
+        return None
+
+
+def _wait_for_exit(running, timeout: float) -> None:
+    """Block until one of the *running* attempts exits, or *timeout* s.
+
+    Waits on the attempts' pidfds through ``select.poll`` (a long-lived
+    ``repro serve`` can hold fd numbers above ``FD_SETSIZE``, which
+    ``select.select`` cannot take).  With no pidfd at all it sleeps the
+    timeout out; an attempt that already carries a return code returns
+    at once, since the sweep after the wait has work to do.
+    """
+    fds = []
+    for active in running:
+        if active.proc.returncode is not None:
+            return
+        if active.pidfd is not None:
+            fds.append(active.pidfd)
+    if not fds:
+        time.sleep(timeout)
+        return
+    poller = select.poll()
+    for fd in fds:
+        poller.register(fd, select.POLLIN)
+    poller.poll(timeout * 1000.0)
 
 
 def _child_env() -> dict:

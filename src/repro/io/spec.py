@@ -163,37 +163,77 @@ def system_to_dict(system: TransactionSystem) -> dict[str, Any]:
     }
 
 
+def _objects(data: dict[str, Any], key: str, where: str) -> list[dict]:
+    """``data[key]``, checked to be a list of JSON objects."""
+    entries = data[key]
+    if not isinstance(entries, list):
+        raise ValueError(
+            f"{where}{key} must be a list, got {type(entries).__name__}"
+        )
+    for k, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise ValueError(
+                f"{where}{key}[{k}] must be an object, "
+                f"got {type(entry).__name__}"
+            )
+    return entries
+
+
 def system_from_dict(data: dict[str, Any]) -> TransactionSystem:
-    """Rebuild a system from :func:`system_to_dict` output."""
+    """Rebuild a system from :func:`system_to_dict` output.
+
+    Malformed input raises :class:`ValueError` naming the offending entry
+    (a missing required field raises :class:`KeyError`): a non-list
+    ``platforms``/``transactions``/``tasks``, an entry that is not an
+    object, and a field of the wrong type, which the model reports as a
+    :class:`TypeError`.
+    """
+    if not isinstance(data, dict):
+        raise ValueError(
+            f"a system must be a JSON object, got {type(data).__name__}"
+        )
     version = data.get("version")
     if version != SCHEMA_VERSION:
         raise ValueError(
             f"unsupported schema version {version!r} (expected {SCHEMA_VERSION})"
         )
-    platforms = [_platform_from_dict(p) for p in data["platforms"]]
+    platforms = []
+    for m, p in enumerate(_objects(data, "platforms", "")):
+        try:
+            platforms.append(_platform_from_dict(p))
+        except TypeError as exc:
+            raise ValueError(f"platforms[{m}]: {exc}") from None
     transactions = []
-    for tr in data["transactions"]:
-        tasks = [
-            Task(
-                wcet=t["wcet"],
-                bcet=t.get("bcet"),
-                platform=t["platform"],
-                priority=t["priority"],
-                offset=t.get("offset", 0.0),
-                jitter=t.get("jitter", 0.0),
-                blocking=t.get("blocking", 0.0),
-                name=t.get("name", ""),
+    for i, tr in enumerate(_objects(data, "transactions", "")):
+        where = f"transactions[{i}]"
+        tasks = []
+        for k, t in enumerate(_objects(tr, "tasks", f"{where}.")):
+            try:
+                tasks.append(
+                    Task(
+                        wcet=t["wcet"],
+                        bcet=t.get("bcet"),
+                        platform=t["platform"],
+                        priority=t["priority"],
+                        offset=t.get("offset", 0.0),
+                        jitter=t.get("jitter", 0.0),
+                        blocking=t.get("blocking", 0.0),
+                        name=t.get("name", ""),
+                    )
+                )
+            except TypeError as exc:
+                raise ValueError(f"{where}.tasks[{k}]: {exc}") from None
+        try:
+            transactions.append(
+                Transaction(
+                    period=tr["period"],
+                    deadline=tr.get("deadline"),
+                    name=tr.get("name", ""),
+                    tasks=tasks,
+                )
             )
-            for t in tr["tasks"]
-        ]
-        transactions.append(
-            Transaction(
-                period=tr["period"],
-                deadline=tr.get("deadline"),
-                name=tr.get("name", ""),
-                tasks=tasks,
-            )
-        )
+        except TypeError as exc:
+            raise ValueError(f"{where}: {exc}") from None
     return TransactionSystem(
         transactions=transactions, platforms=platforms, name=data.get("name", "")
     )

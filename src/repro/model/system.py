@@ -9,6 +9,7 @@ is accepted -- see :class:`PlatformLike`).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Iterator, Protocol, Sequence, runtime_checkable
 
@@ -83,7 +84,8 @@ class TransactionSystem:
         """Check the structure and the time scale of the system.
 
         Raises :class:`ValueError` when there is no transaction, when a task
-        addresses a platform outside the platform list, or when the longest
+        addresses a platform outside the platform list, when a task's
+        rate-scaled WCET overflows to infinity, or when the longest
         period exceeds :data:`~repro.util.math.MAX_TIME_RATIO` times the
         shortest rate-scaled execution time (:meth:`time_ratio`): the
         analysis resolves a period-T transaction only to ``EPS * T``, and
@@ -93,13 +95,20 @@ class TransactionSystem:
         """
         if not self.transactions:
             raise ValueError("a system needs at least one transaction")
-        m = len(self.platforms)
+        rates = [p.rate for p in self.platforms]
+        m = len(rates)
         for tr in self.transactions:
             for k, task in enumerate(tr.tasks):
                 if task.platform >= m:
                     raise ValueError(
                         f"{tr.name or 'transaction'} task {k} maps to platform "
                         f"{task.platform} but only {m} platforms are defined"
+                    )
+                if math.isinf(task.wcet / rates[task.platform]):
+                    raise ValueError(
+                        f"{tr.name or 'transaction'} task {k}: wcet "
+                        f"{task.wcet:g} on a rate-{rates[task.platform]:g} "
+                        "platform takes an infinite execution time"
                     )
         ratio = self.time_ratio()
         if ratio > MAX_TIME_RATIO:

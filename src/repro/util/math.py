@@ -23,6 +23,7 @@ import math
 
 __all__ = [
     "EPS",
+    "MAX_JOB_COUNT",
     "MAX_TIME_RATIO",
     "ceil_div",
     "floor_div",
@@ -44,6 +45,14 @@ EPS: float = 1e-9
 #: execution time or finer.  The random generators stay below it by
 #: construction (1e-6 WCET floor, rates <= 0.8, periods <= 500: 4e8).
 MAX_TIME_RATIO: float = 0.5 / EPS
+
+#: Largest job count ``(t - phi) / T`` an EPS-snapped count resolves: a
+#: double ``n`` is spaced at ``n * 2**-52`` or wider, and :func:`fceil`
+#: snaps within EPS of an integer, so beyond ``EPS * 2**52`` (~4.5e6) the
+#: spacing outgrows the snap and neighbouring counts are no longer told
+#: apart.  A derived jitter spanning more periods than this is beyond
+#: what one solve should enumerate job by job.
+MAX_JOB_COUNT: float = EPS * 2.0**52
 
 
 def fceil(x: float) -> int:

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import contextlib
+import signal
+
 import pytest
 
 from repro.paper import sensor_fusion_system
@@ -81,3 +84,85 @@ def small_random_system(request):
         utilization=0.35,
     )
     return gen.random_system(spec, seed=request.param)
+
+
+def paper_dict_with(path: tuple, value) -> dict:
+    """The paper example's system dict with the entry at *path* set to
+    *value*."""
+    from repro.io import system_to_dict
+
+    data = system_to_dict(sensor_fusion_system())
+    node = data
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return data
+
+
+#: One-entry edits of the paper example the loader must reject, with the
+#: text its error names the entry by: ``name -> (path, value, text)``.
+MALFORMED_EDITS = {
+    "wcet_overflow": (
+        ("transactions", 0, "tasks", 0, "wcet"), 1e308,
+        "infinite execution time",
+    ),
+    "platforms_not_list": (("platforms",), {}, "platforms must be a list"),
+    "platform_not_object": (
+        ("platforms", 0), 5, "platforms[0] must be an object",
+    ),
+    "rate_wrong_type": (("platforms", 1, "rate"), [], "platforms[1]: rate"),
+    "transaction_not_object": (
+        ("transactions", 1), "x", "transactions[1] must be an object",
+    ),
+    "period_wrong_type": (
+        ("transactions", 0, "period"), "x", "transactions[0]: period",
+    ),
+    "tasks_not_list": (
+        ("transactions", 0, "tasks"), 5,
+        "transactions[0].tasks must be a list",
+    ),
+    "task_not_object": (
+        ("transactions", 0, "tasks", 2), [],
+        "transactions[0].tasks[2] must be an object",
+    ),
+    "bcet_wrong_type": (
+        ("transactions", 0, "tasks", 0, "bcet"), "x",
+        "transactions[0].tasks[0]: bcet",
+    ),
+}
+
+
+@pytest.fixture(params=sorted(MALFORMED_EDITS))
+def malformed_system(request) -> tuple[dict, str]:
+    """A malformed paper-example dict and the text its error must carry."""
+    path, value, text = MALFORMED_EDITS[request.param]
+    return paper_dict_with(path, value), text
+
+
+@pytest.fixture
+def huge_deadline_system() -> dict:
+    """The paper example with transaction 0's deadline at 1e30: its
+    derived jitters, capped at the deadline, span ~2e28 periods."""
+    return paper_dict_with(("transactions", 0, "deadline"), 1e30)
+
+
+@contextlib.contextmanager
+def _within(seconds: float):
+    def expire(signum, frame):
+        raise AssertionError(f"no answer within {seconds:g} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.fixture
+def within():
+    """``with within(seconds): ...`` fails the test once the block has
+    run *seconds* (a SIGALRM timer, so a hang fails instead of wedging
+    the suite)."""
+    return _within

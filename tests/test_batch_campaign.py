@@ -8,7 +8,9 @@ deterministic results, any worker count produces identical metrics, and
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
+import math
 
 import pytest
 
@@ -16,6 +18,7 @@ from repro.batch import (
     Campaign,
     CampaignResult,
     CampaignSpec,
+    CellResult,
     MethodOutcome,
     available_generators,
     available_methods,
@@ -738,6 +741,106 @@ class TestParentFormatFiles:
         assert digest == (
             "d660fcca3f0a9b1f576a9b45602b09dd71d0e5136ff9dc99431fcd49d8ae065b"
         )
+
+
+def _cell(**overrides) -> CellResult:
+    """A cell with list-valued params and nested extras."""
+    fields = dict(
+        params={"utilization": 0.5, "tasks_per_transaction": [1, 2]},
+        seed=3, replicate=1, method="reduced", schedulable=False,
+        converged=False, outer_iterations=4, evaluations=90,
+        warm_started=True, max_wcrt_ratio=0.75, time_s=0.25,
+        phase_cache_hits=2, phase_cache_misses=5,
+        extras={"fp_solves": 3, "inferred": {"from": [0.3, 0.6]}},
+    )
+    fields.update(overrides)
+    return CellResult(**fields)
+
+
+def _text(obj) -> str:
+    """Canonical text of a JSON value: NaN != NaN, its token is stable."""
+    return json.dumps(obj, sort_keys=True)
+
+
+class TestResultEncoding:
+    """Result files are written in one C-encoder pass (compact JSON) from
+    a shallow :meth:`CellResult.to_dict`; the values are unchanged."""
+
+    @pytest.mark.parametrize("ratio", [0.75, math.inf, -math.inf, math.nan])
+    def test_cell_to_dict_equals_asdict(self, ratio):
+        cell = _cell(max_wcrt_ratio=ratio)
+        data = cell.to_dict()
+        # The NaN ratio compares equal because both dicts hold the same
+        # float object (asdict does not copy floats either).
+        assert data == dataclasses.asdict(cell)
+        assert list(data) == [f.name for f in dataclasses.fields(cell)]
+        assert data["params"] is not cell.params
+        assert data["extras"] is not cell.extras
+        data["params"]["added"] = data["extras"]["added"] = 1
+        assert "added" not in cell.params and "added" not in cell.extras
+
+    def test_save_load_round_trips_every_field(self, tmp_path):
+        result = Campaign(small_spec()).run(workers=1, shard=(1, 2))
+        result.cells.append(_cell(max_wcrt_ratio=math.nan))
+        result.cells.append(_cell(max_wcrt_ratio=math.inf, seed=4))
+        result = dataclasses.replace(
+            result, streamed_cells=3, reused_cells=2, reseed_solves=5,
+            reseed_evaluations=40, store_hits=1, store_misses=6,
+            truncated=True,
+        )
+        loaded = CampaignResult.load_json(
+            result.save_json(tmp_path / "result.json")
+        )
+        for f in dataclasses.fields(CampaignResult):
+            ours, theirs = getattr(result, f.name), getattr(loaded, f.name)
+            if f.name == "cells":
+                ours = [c.to_dict() for c in ours]
+                theirs = [c.to_dict() for c in theirs]
+            assert _text(theirs) == _text(ours), f.name
+        assert loaded.chain_costs == result.chain_costs  # int keys back
+
+    def test_file_parses_like_the_indented_encoding(self, tmp_path):
+        """Only whitespace changed: the compact file parses to what the
+        former ``indent=2`` encoding of ``asdict`` cells parses to."""
+        result = Campaign(small_spec()).run(workers=1)
+        result.cells.append(_cell(max_wcrt_ratio=math.nan))
+        path = result.save_json(tmp_path / "result.json")
+        text = path.read_text()
+        assert "\n" not in text
+        former = result.to_dict()
+        former["cells"] = [dataclasses.asdict(c) for c in result.cells]
+        assert _text(json.loads(text)) == _text(
+            json.loads(json.dumps(former, indent=2))
+        )
+
+    def test_indented_files_still_merge_and_resume(self, tmp_path):
+        spec = small_spec(systems_per_cell=4)
+        full = Campaign(spec).run(workers=1)
+
+        def write_indented(result, name):
+            path = tmp_path / name
+            path.write_text(json.dumps(result.to_dict(), indent=2))
+            return path
+
+        paths = [
+            write_indented(
+                Campaign(spec).run(workers=1, shard=(k, 2)), f"shard{k}.json"
+            )
+            for k in range(2)
+        ]
+        merged = tmp_path / "merged.json"
+        assert cli_main([
+            "campaign-merge", *map(str, paths), "--json", str(merged),
+        ]) == 0
+        assert CampaignResult.load_json(merged).metrics() == full.metrics()
+        checkpoint = write_indented(
+            Campaign(spec).run(workers=1, max_cells=5), "ck.json"
+        )
+        resumed = Campaign(spec).run(
+            workers=1, resume_from=CampaignResult.load_json(checkpoint)
+        )
+        assert resumed.metrics() == full.metrics()
+        assert resumed.reused_cells == 5
 
 
 class TestChainScaling:

@@ -70,6 +70,32 @@ class TestAnalyze:
         assert main(["analyze", "/nonexistent/sys.json"]) == 2
         assert "error" in capsys.readouterr().err
 
+    def test_malformed_system_exit_two(self, tmp_path, capsys,
+                                       malformed_system):
+        data, text = malformed_system
+        path = tmp_path / "system.json"
+        path.write_text(json.dumps(data))
+        assert main(["analyze", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and text in err
+        assert "Traceback" not in err
+
+    def test_huge_deadline_verdict_exits_zero(self, tmp_path,
+                                              huge_deadline_system):
+        """The verdict-mode prefilter declines a 1e30 deadline's caps
+        instead of enumerating ~2e28 jobs (it ran for minutes)."""
+        path = tmp_path / "system.json"
+        path.write_text(json.dumps(huge_deadline_system))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(repro.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "analyze", str(path),
+             "--mode", "verdict"],
+            env=env, capture_output=True, text=True, timeout=20,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "schedulable: True" in proc.stdout
+
 
 #: A JSON document nested past the parser's recursion limit.
 NESTED = "[" * 50_000 + "]" * 50_000

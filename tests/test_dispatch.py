@@ -12,9 +12,14 @@ attempt exhaustion, the ssh command template, and the
 
 from __future__ import annotations
 
+import errno
 import json
+import os
+import subprocess
+import sys
 import threading
 import time
+from types import SimpleNamespace
 
 import pytest
 
@@ -29,7 +34,9 @@ from repro.batch import (
     LocalBackend,
     SshBackend,
 )
+from repro.batch.dispatch import _open_pidfd, _wait_for_exit
 from repro.cli import main as cli_main
+from repro.serve.schemas import canonical_result_json
 
 
 def make_spec(**overrides) -> CampaignSpec:
@@ -294,6 +301,100 @@ class TestParentFormatCheckpoint:
         assert report.result.reused_cells == 3
         resumed = next(s for s in report.shards if s.shard == 0)
         assert resumed.resumed_attempts == 1
+
+    @pytest.mark.dist
+    def test_indented_checkpoint_is_resumed(self, tmp_path):
+        """Result files are compact now; a checkpoint written with the
+        former ``indent=2`` encoding is still a valid resume source."""
+        spec = make_spec()
+        full = Campaign(spec).run(workers=1)
+        dispatcher = CampaignDispatcher(
+            spec, shards=2, workers=1, work_dir=tmp_path, checkpoint_every=2
+        )
+        old = Campaign(spec).run(workers=1, shard=(0, 2), max_cells=3)
+        dispatcher._checkpoint_path(0).write_text(
+            json.dumps(old.to_dict(), indent=2)
+        )
+        report = dispatcher.run()
+        assert report.result.metrics() == full.metrics()
+        assert report.result.reused_cells == 3
+
+
+class TestExitWake:
+    """A shard's exit wakes the dispatcher at once through a pidfd; the
+    poll interval paces only the liveness checks."""
+
+    @staticmethod
+    def _dispatch(tmp_path, poll):
+        spec = make_spec(systems_per_cell=2)
+        single = Campaign(spec).run(workers=1)
+        started = time.perf_counter()
+        report = CampaignDispatcher(
+            spec, shards=2, workers=1, work_dir=tmp_path,
+            poll_interval=poll, poll_max=poll,
+        ).run()
+        wall = time.perf_counter() - started
+        assert canonical_result_json(report.result) == (
+            canonical_result_json(single)
+        )
+        assert report.relaunches == 0
+        return wall
+
+    @pytest.mark.dist
+    def test_exit_wakes_a_long_poll(self, tmp_path):
+        """With a 5 s poll each of the two shards would hold its slot at
+        least 5 s if only the poll tick noticed its exit."""
+        assert self._dispatch(tmp_path, 5.0) < 3.0
+
+    @pytest.mark.dist
+    def test_without_pidfds_exits_wait_for_the_poll(
+        self, tmp_path, monkeypatch
+    ):
+        """No pidfd (non-Linux, old kernel): the same dispatch completes,
+        each shard noticed on a poll tick after at least one full
+        interval."""
+        calls = []
+
+        def no_pidfd(pid):
+            calls.append(pid)
+            raise OSError(errno.ENOSYS, "pidfd_open unavailable")
+
+        monkeypatch.setattr(os, "pidfd_open", no_pidfd)
+        assert self._dispatch(tmp_path, 0.5) >= 1.0
+        assert len(calls) == 2  # one attempt per shard, each without fd
+
+    def test_wait_returns_on_child_exit(self):
+        """A ``Popen`` (the ssh backend's handle) wakes the wait too."""
+        proc = subprocess.Popen(
+            [sys.executable, "-c", "import time; time.sleep(0.2)"]
+        )
+        pidfd = _open_pidfd(proc)
+        try:
+            assert pidfd is not None
+            started = time.perf_counter()
+            _wait_for_exit([SimpleNamespace(proc=proc, pidfd=pidfd)], 30.0)
+            assert time.perf_counter() - started < 10.0
+            assert proc.poll() == 0
+        finally:
+            proc.kill()
+            proc.wait()
+            if pidfd is not None:
+                os.close(pidfd)
+
+    def test_handle_with_return_code_does_not_wait(self):
+        """A launch under a dead zygote never ran: it has a return code
+        and no pid, gets no fd and must not make the loop sleep."""
+        never_ran = SimpleNamespace(returncode=-9, pid=None)
+        assert _open_pidfd(never_ran) is None
+        started = time.perf_counter()
+        _wait_for_exit([SimpleNamespace(proc=never_ran, pidfd=None)], 30.0)
+        assert time.perf_counter() - started < 1.0
+
+    def test_without_fds_the_wait_sleeps_the_timeout(self):
+        live = SimpleNamespace(returncode=None)
+        started = time.perf_counter()
+        _wait_for_exit([SimpleNamespace(proc=live, pidfd=None)], 0.2)
+        assert time.perf_counter() - started >= 0.2
 
 
 class TestLogExcerpt:

@@ -271,6 +271,40 @@ class TestStragglerSplitting:
 
 
 @pytest.mark.dist
+class TestExitFds:
+    """Every path that ends an attempt closes the attempt's pidfd."""
+
+    @pytest.mark.parametrize("drill", ["kill", "timeout", "split"])
+    def test_attempts_leave_no_fd_behind(self, tmp_path, drill):
+        spec = tiny_spec(systems_per_cell=4)
+        single = Campaign(spec).run(workers=1)
+        kwargs = {
+            # SIGKILL mid-shard: a failed attempt, then a relaunch.
+            "kill": dict(faults=FaultPlan(
+                [Fault(shard=0, kind="kill", at_cell=1)]
+            )),
+            # A hung attempt shot at its wall budget.
+            "timeout": dict(
+                faults=FaultPlan([Fault(shard=0, kind="hang", at_cell=1)]),
+                shard_timeout=1.0,
+            ),
+            # A hung straggler killed and split onto the idle slot.
+            "split": dict(
+                faults=FaultPlan([Fault(shard=0, kind="hang", at_cell=1)]),
+                shards=1, split_after=0.2,
+            ),
+        }[drill]
+        before = sorted(os.listdir("/proc/self/fd"))
+        backend = _RecordingBackend()
+        report = dispatch(spec, tmp_path, backend=backend, **kwargs)
+        assert sorted(os.listdir("/proc/self/fd")) == before
+        assert report.result.metrics() == single.metrics()
+        outcome = {"kill": "failed", "timeout": "timeout", "split": "split"}
+        assert outcome[drill] in report.shards[0].attempt_outcomes
+        backend.assert_all_reaped()
+
+
+@pytest.mark.dist
 class TestGracefulShutdown:
     def test_sigint_terminates_children_and_leaves_resumable_dir(
         self, tmp_path

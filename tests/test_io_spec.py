@@ -1,6 +1,10 @@
 """Tests for system serialization."""
 
+import copy
+import math
+
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.analysis import analyze
 from repro.gen import random_system
@@ -87,3 +91,65 @@ class TestErrors:
 
         with pytest.raises(TypeError):
             _platform_to_dict(object())
+
+
+class TestMalformedInput:
+    """Malformed structure, wrong types and overflowing values are a
+    :class:`ValueError` naming the entry, never another exception."""
+
+    def test_rejected_naming_the_entry(self, malformed_system):
+        data, text = malformed_system
+        with pytest.raises(ValueError) as info:
+            system_from_dict(data)
+        assert text in str(info.value)
+
+    @pytest.mark.parametrize("data", [[], "system", None])
+    def test_non_object_system_rejected(self, data):
+        with pytest.raises(ValueError, match="must be a JSON object"):
+            system_from_dict(data)
+
+
+_PAPER = system_to_dict(sensor_fusion_system())
+#: Marker value: delete the entry instead of replacing it.
+_DELETE = object()
+
+
+def _leaf_paths(node, path=()):
+    if isinstance(node, (dict, list)):
+        keys = node if isinstance(node, dict) else range(len(node))
+        for key in keys:
+            yield from _leaf_paths(node[key], path + (key,))
+    else:
+        yield path
+
+
+@settings(
+    max_examples=300, deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    path=st.sampled_from(list(_leaf_paths(_PAPER))),
+    value=st.sampled_from(
+        [None, True, False, "x", 1e308, -1e308, 2**63, math.nan, [], {},
+         _DELETE]
+    ),
+)
+def test_single_leaf_mutation_fails_cleanly_or_answers(path, value, within):
+    """One leaf of the paper example swapped for a hostile value (or
+    deleted): the loader raises ValueError/KeyError, or both analysis
+    modes answer within 5 s."""
+    data = copy.deepcopy(_PAPER)
+    node = data
+    for key in path[:-1]:
+        node = node[key]
+    if value is _DELETE:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
+    try:
+        system = system_from_dict(data)
+    except (ValueError, KeyError):
+        return
+    for mode in ("exact", "verdict"):
+        with within(5.0):
+            analyze(system, mode=mode)

@@ -222,6 +222,29 @@ class TestAnalyze:
             assert response.status == 400
             assert "does not parse" in response.json()["detail"][0]
 
+    def test_malformed_system_400(self, malformed_system):
+        data, text = malformed_system
+        with make_client() as client:
+            response = client.post("/analyze", json={"system": data})
+        assert response.status == 400, response.body[:200]
+        assert text in response.json()["detail"][0]
+
+    def test_huge_deadline_verdict_answers(self, huge_deadline_system,
+                                           within):
+        """A 1e30 deadline in verdict mode answers at once, with exact
+        mode's verdict (it had not answered after 8 s)."""
+        with make_client() as client, within(10.0):
+            verdict, exact = (
+                client.post(
+                    "/analyze",
+                    json={"system": huge_deadline_system, "mode": mode},
+                )
+                for mode in ("verdict", "exact")
+            )
+            assert verdict.status == exact.status == 200
+            assert verdict.json()["schedulable"] is True
+            assert exact.json()["schedulable"] is True
+
     @pytest.mark.parametrize(
         "edit, message",
         [

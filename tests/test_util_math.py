@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from repro.util.math import (
     EPS,
+    MAX_JOB_COUNT,
     ceil_div,
     fceil,
     ffloor,
@@ -127,6 +128,14 @@ class TestPhaseInPeriod:
     def test_half_open_range(self, x, period):
         ph = phase_in_period(x, period)
         assert 0.0 < ph <= period
+
+
+class TestMaxJobCount:
+    def test_largest_count_the_snap_resolves(self):
+        """At ``MAX_JOB_COUNT`` a count's float spacing is still within
+        EPS; at twice it, the spacing has outgrown the snap."""
+        assert math.ulp(MAX_JOB_COUNT) <= EPS < math.ulp(2 * MAX_JOB_COUNT)
+        assert MAX_JOB_COUNT == pytest.approx(4.5e6, rel=0.01)
 
 
 class TestMisc:

@@ -242,6 +242,26 @@ class TestPrefilters:
         assert analyze(system, config=GS).schedulable
         assert result.outer_iterations == 0
 
+    def test_huge_deadline_declined_not_enumerated(
+        self, huge_deadline_system, within
+    ):
+        """A 1e30 deadline caps transaction 0's derived jitters at ~2e28
+        periods.  The bound filter declines such a cap (beyond
+        ``MAX_JOB_COUNT``) instead of solving one completion per
+        collapsed job, and the verdict still equals exact mode's."""
+        import copy
+
+        from repro.analysis.schedulability import response_bound_prefilter
+        from repro.io import system_from_dict
+
+        system = system_from_dict(huge_deadline_system)
+        with within(5.0):
+            assert response_bound_prefilter(
+                copy.deepcopy(system), GS_VERDICT
+            ) is None
+            verdict = analyze(system, mode="verdict")
+        assert verdict.schedulable == analyze(system, mode="exact").schedulable
+
     def test_prefilters_off_still_correct(self):
         config = AnalysisConfig(
             method="reduced", update="gauss_seidel", mode="verdict",
