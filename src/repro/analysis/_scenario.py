@@ -24,9 +24,9 @@ from typing import Callable
 
 from repro.analysis.busy import AnalyzedTask
 from repro.util.fixedpoint import note_ceiling_exit, note_solve, note_solves
-from repro.util.math import EPS, ceil_div, floor_div
+from repro.util.math import EPS, MAX_JOB_COUNT, ceil_div, floor_div
 
-__all__ = ["ScenarioOutcome", "solve_scenario"]
+__all__ = ["ScenarioOutcome", "overflowed_scenario", "solve_scenario"]
 
 #: Safety cap mirroring ``iterate_fixed_point``'s default.
 _MAX_ITERATIONS = 100_000
@@ -41,10 +41,13 @@ class ScenarioOutcome:
     ``response`` is ``-inf`` when no job of the analyzed task falls inside
     the scenario's busy period (the scenario constrains nothing) and
     ``+inf`` when the busy period failed to close within the divergence
-    bound.  ``evaluations`` counts every evaluation of the iterated maps,
-    *including* those of divergent solves: the iteration counts carried by
-    divergent solves used to be dropped on the unschedulable path, so
-    aggregate accounting undercounted exactly the expensive cells.
+    bound, holds more than :data:`~repro.util.math.MAX_JOB_COUNT` jobs of
+    the analyzed task or overflowed a job count
+    (:func:`overflowed_scenario`).  ``evaluations`` counts every
+    evaluation of the iterated maps, *including* those of divergent
+    solves: the iteration counts carried by divergent solves used to be
+    dropped on the unschedulable path, so aggregate accounting
+    undercounted exactly the expensive cells.
     """
 
     response: float
@@ -192,6 +195,15 @@ def solve_scenario(
                 )
             x = nxt
 
+        if p_hi - p0 + 1 > MAX_JOB_COUNT:
+            # More own jobs than an EPS-snapped count tells apart, and far
+            # more than one solve should enumerate: divergence, like a
+            # busy iterate past the bound (a 2**63 blocking term beside a
+            # 2**63 deadline spans ~6e17 period-15 jobs).
+            return _abort(
+                evaluations, solves, warm_solves, busy_evals,
+                diverged=True, checked=checked,
+            )
         # Job-chained warm start: the completion map of job p+1 dominates
         # job p's pointwise (one more own job), so its least fixed point is
         # at or above job p's -- iterating from the previous completion
@@ -268,6 +280,19 @@ def solve_scenario(
     return ScenarioOutcome(
         response=worst, worst_job=worst_job, busy_length=L, jobs_checked=checked,
         evaluations=evaluations,
+    )
+
+
+def overflowed_scenario() -> ScenarioOutcome:
+    """Outcome of a :func:`solve_scenario` call that raised
+    ``OverflowError``: a job count ``(t - phi) / T`` left the float range
+    (a period below 1 beside a busy iterate near the float maximum, or a
+    first iterate beyond the float maximum times a short period).  That is
+    divergence, like a busy period holding more than ``MAX_JOB_COUNT``
+    jobs; the evaluations spent before the overflow go uncharged."""
+    note_solve(0, diverged=True)
+    return ScenarioOutcome(
+        response=_INF, worst_job=None, busy_length=_INF, jobs_checked=0,
     )
 
 

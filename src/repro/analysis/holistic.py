@@ -212,9 +212,7 @@ def holistic_analysis(
     platform_index = (
         ViewProjector.build_platform_index(work) if config.driver_cache else None
     )
-    busy_bound = config.busy_bound_factor * max(
-        max(tr.period, float(tr.deadline)) for tr in work.transactions
-    )
+    busy_bound = config.busy_bound(work)
 
     evaluations = 0
     task_solves = 0

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 
 __all__ = [
@@ -41,7 +42,8 @@ class AnalysisConfig:
     busy_bound_factor:
         The inner busy-period iteration is declared divergent (response time
         :data:`UNSCHEDULABLE`) once it exceeds ``busy_bound_factor`` times
-        the largest period-or-deadline in the system.
+        the largest period-or-deadline in the system (see
+        :meth:`busy_bound`).
     tol:
         Convergence tolerance of all fixed points.
     stop_on_miss:
@@ -131,6 +133,19 @@ class AnalysisConfig:
             raise ValueError(
                 f"kernel must be 'auto', 'vector' or 'scalar', got {self.kernel!r}"
             )
+
+    def busy_bound(self, system) -> float:
+        """Divergence bound of the inner busy-period solves of *system*.
+
+        ``busy_bound_factor`` times the largest period-or-deadline, capped
+        at the largest finite float: past ~1.8e305 the product overflows,
+        and an ``inf`` bound would let an iterate reach ``inf`` instead of
+        counting as divergent.  Every finite bound is left as it is.
+        """
+        longest = max(
+            max(tr.period, float(tr.deadline)) for tr in system.transactions
+        )
+        return min(self.busy_bound_factor * longest, sys.float_info.max)
 
 
 @dataclass

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.analysis._scenario import solve_scenario
+from repro.analysis._scenario import overflowed_scenario, solve_scenario
 from repro.analysis.busy import (
     HPTask,
     build_views,
@@ -41,13 +41,6 @@ class ReducedResult:
     worst_starter: int | None
     #: Inner fixed-point evaluations spent, divergent solves included.
     evaluations: int = 0
-
-
-def _busy_bound(system: TransactionSystem, config: AnalysisConfig) -> float:
-    longest = max(
-        max(tr.period, float(tr.deadline)) for tr in system.transactions
-    )
-    return config.busy_bound_factor * longest
 
 
 def response_time_reduced(
@@ -80,7 +73,7 @@ def response_time_reduced(
     config = config or AnalysisConfig()
     analyzed, own, others = views if views is not None else build_views(system, a, b)
     if bound is None:
-        bound = _busy_bound(system, config)
+        bound = config.busy_bound(system)
     kernel = config.kernel
 
     candidates: list[HPTask | None] = list(own.tasks) + [None]
@@ -176,11 +169,14 @@ def response_time_reduced(
         else:
             interference = scenario_w
 
-        outcome = solve_scenario(
-            analyzed, phi_ab, interference, bound=bound, tol=config.tol,
-            chain_jobs=config.driver_cache, memoize=config.driver_cache,
-            response_ceiling=ceiling,
-        )
+        try:
+            outcome = solve_scenario(
+                analyzed, phi_ab, interference, bound=bound, tol=config.tol,
+                chain_jobs=config.driver_cache, memoize=config.driver_cache,
+                response_ceiling=ceiling,
+            )
+        except OverflowError:
+            outcome = overflowed_scenario()
         evaluated += 1
         evaluations += outcome.evaluations
         if outcome.response > worst:

@@ -143,9 +143,7 @@ def response_bound_prefilter(
                 return None  # too many jobs to enumerate: inconclusive
             tr.tasks[j].offset = best[(i, j - 1)]
             tr.tasks[j].jitter = cap
-    bound = config.busy_bound_factor * max(
-        max(tr.period, float(tr.deadline)) for tr in work.transactions
-    )
+    bound = config.busy_bound(work)
     platform_index = ViewProjector.build_platform_index(work)
     evaluations = 0
     responses: dict[tuple[int, int], float] = {}

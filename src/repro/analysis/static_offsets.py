@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from repro.analysis._scenario import solve_scenario
+from repro.analysis._scenario import overflowed_scenario, solve_scenario
 from repro.analysis.busy import (
     HPTask,
     TransactionView,
@@ -44,13 +44,6 @@ class ExactResult:
     worst_scenario: tuple[tuple[int, int], ...] | None
     #: Inner fixed-point evaluations spent, divergent solves included.
     evaluations: int = 0
-
-
-def _busy_bound(system: TransactionSystem, config: AnalysisConfig) -> float:
-    longest = max(
-        max(tr.period, float(tr.deadline)) for tr in system.transactions
-    )
-    return config.busy_bound_factor * longest
 
 
 def response_time_exact(
@@ -80,7 +73,7 @@ def response_time_exact(
     config = config or AnalysisConfig()
     analyzed, own, others = views if views is not None else build_views(system, a, b)
     if bound is None:
-        bound = _busy_bound(system, config)
+        bound = config.busy_bound(system)
     kernel = config.kernel
 
     # Candidate starters: every interfering task per foreign transaction;
@@ -136,11 +129,14 @@ def response_time_exact(
                     total += w_k(t)
                 return total
 
-            outcome = solve_scenario(
-                analyzed, phi_ab, interference, bound=bound, tol=config.tol,
-                chain_jobs=config.driver_cache, memoize=config.driver_cache,
-                response_ceiling=ceiling,
-            )
+            try:
+                outcome = solve_scenario(
+                    analyzed, phi_ab, interference, bound=bound,
+                    tol=config.tol, chain_jobs=config.driver_cache,
+                    memoize=config.driver_cache, response_ceiling=ceiling,
+                )
+            except OverflowError:
+                outcome = overflowed_scenario()
             evaluated += 1
             evaluations += outcome.evaluations
             if outcome.response > worst:

@@ -85,8 +85,10 @@ class TransactionSystem:
 
         Raises :class:`ValueError` when there is no transaction, when a task
         addresses a platform outside the platform list, when a task's
-        rate-scaled WCET overflows to infinity, or when the longest
-        period exceeds :data:`~repro.util.math.MAX_TIME_RATIO` times the
+        rate-scaled WCET, or the first busy-period iterate built from it
+        (platform delay + blocking + WCET/rate), overflows to infinity, or
+        when the longest period exceeds
+        :data:`~repro.util.math.MAX_TIME_RATIO` times the
         shortest rate-scaled execution time (:meth:`time_ratio`): the
         analysis resolves a period-T transaction only to ``EPS * T``, and
         beyond the bound its bounds silently turn unsound.  Over-utilized
@@ -104,11 +106,19 @@ class TransactionSystem:
                         f"{tr.name or 'transaction'} task {k} maps to platform "
                         f"{task.platform} but only {m} platforms are defined"
                     )
-                if math.isinf(task.wcet / rates[task.platform]):
+                cost = task.wcet / rates[task.platform]
+                if math.isinf(cost):
                     raise ValueError(
                         f"{tr.name or 'transaction'} task {k}: wcet "
                         f"{task.wcet:g} on a rate-{rates[task.platform]:g} "
                         "platform takes an infinite execution time"
+                    )
+                delay = self.platforms[task.platform].delay
+                if math.isinf(delay + task.blocking + cost):
+                    raise ValueError(
+                        f"{tr.name or 'transaction'} task {k}: platform delay "
+                        f"{delay:g} + blocking {task.blocking:g} + wcet/rate "
+                        f"{cost:g} overflows to an infinite response time"
                     )
         ratio = self.time_ratio()
         if ratio > MAX_TIME_RATIO:

@@ -28,14 +28,16 @@ running -- the service degrades by shedding load, never by falling over.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import re
 import threading
 import time
+from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Awaitable, Callable
+from typing import Any, Awaitable, Callable, NamedTuple
 
 from repro import __version__
 from repro.analysis import analyze
@@ -53,6 +55,11 @@ __all__ = ["ReproServeApp", "ServeConfig", "create_app"]
 
 _JOB_PATH = re.compile(r"^/campaigns/([A-Za-z0-9_-]+)$")
 _JOB_RESULT_PATH = re.compile(r"^/campaigns/([A-Za-z0-9_-]+)/result$")
+
+#: ``POST /analyze`` bodies whose store key an app remembers (least
+#: recently used first out).  An entry takes about 1.1 KB, so the memo
+#: stays near 1 MB whatever the traffic.
+ANALYZE_MEMO_SIZE = 1024
 
 
 @dataclass(frozen=True)
@@ -86,8 +93,28 @@ class ServeConfig:
     job_gate: Callable[[Job], None] | None = None
 
 
+class _Analyzed(NamedTuple):
+    """What answering a validated ``/analyze`` body from the store needs."""
+
+    key: StoreKey | None
+    deadlines: tuple[float, ...]
+    method: str
+    mode: str
+
+
 class ReproServeApp:
-    """The ASGI callable plus the service state it closes over."""
+    """The ASGI callable plus the service state it closes over.
+
+    With a store configured, the app remembers which store key each
+    validated ``POST /analyze`` body hashed to, keyed by the SHA-256 of
+    the raw body bytes (an LRU of :data:`ANALYZE_MEMO_SIZE` entries).  A
+    byte-identical repeat goes straight to ``store.get``: it skips JSON
+    parsing, validation and content hashing, which are pure functions of
+    those bytes.  The memo holds keys and deadlines, never a result, so
+    the store stays the only source of answers; a repeat whose entry is
+    missing or unusable takes the full path.  A body that fails
+    validation is never remembered.
+    """
 
     def __init__(self, config: ServeConfig | None = None):
         self.config = config or ServeConfig()
@@ -110,6 +137,9 @@ class ReproServeApp:
         self._requests: dict[str, int] = {}
         self._analyze_requests = 0
         self._analyze_store_hits = 0
+        #: SHA-256 of an ``/analyze`` body -> its :class:`_Analyzed`;
+        #: guarded by ``_lock``.
+        self._memo: OrderedDict[bytes, _Analyzed] = OrderedDict()
 
     # -- ASGI protocol -----------------------------------------------------
 
@@ -189,7 +219,7 @@ class ReproServeApp:
         if path == "/analyze":
             if method != "POST":
                 return _method_not_allowed("POST")
-            return self._handle_analyze(_parse_body(body))
+            return self._handle_analyze(body)
         if path == "/campaigns":
             if method == "POST":
                 return self._handle_submit(_parse_body(body))
@@ -210,78 +240,60 @@ class ReproServeApp:
 
     # -- handlers ----------------------------------------------------------
 
-    def _handle_analyze(self, body: Any):
-        request = AnalyzeRequest.parse(body)
+    def _handle_analyze(self, body: bytes):
         store = self.pool.store
-        served = None
-        key = None
+        known = stored = None
         if store is not None:
-            # The same key `python -m repro analyze --store` uses, so the
-            # CLI and the service share one cache population.
-            key = StoreKey(
-                system_hash(request.system),
-                analysis_config_hash(request.config),
-                None,
-                "analyze",
+            digest = hashlib.sha256(body).digest()
+            with self._lock:
+                known = self._memo.get(digest)
+                if known is not None:
+                    self._memo.move_to_end(digest)
+            if known is not None:
+                stored = _stored_answer(store.get(known.key), known)
+        if stored is None:
+            request = AnalyzeRequest.parse(_parse_body(body))
+            known = _Analyzed(
+                # The same key `python -m repro analyze --store` uses, so
+                # the CLI and the service share one cache population.
+                None if store is None else StoreKey(
+                    system_hash(request.system),
+                    analysis_config_hash(request.config),
+                    None,
+                    "analyze",
+                ),
+                tuple(float(tr.deadline) for tr in request.system),
+                request.config.method,
+                request.config.mode,
             )
-            served = store.get(key)
-            if served is not None and (
-                not isinstance(served.get("transaction_wcrt"), list)
-                or len(served["transaction_wcrt"])
-                != len(request.system.transactions)
-            ):
-                served = None  # malformed/foreign entry: analyze fresh
+            if store is not None:
+                with self._lock:
+                    self._memo[digest] = known
+                    if len(self._memo) > ANALYZE_MEMO_SIZE:
+                        self._memo.popitem(last=False)
+                stored = _stored_answer(store.get(known.key), known)
         with self._lock:
             self._analyze_requests += 1
-            if served is not None:
+            if stored is not None:
                 self._analyze_store_hits += 1
-        if served is not None:
-            schedulable = bool(served["schedulable"])
-            converged = bool(served["converged"])
-            wcrts = [float(w) for w in served["transaction_wcrt"]]
-            store_state = "hit"
-        else:
-            result = analyze(request.system, config=request.config)
-            schedulable = result.schedulable
-            converged = result.converged
-            wcrts = [
-                result.transaction_wcrt[i]
-                for i in range(len(request.system.transactions))
-            ]
-            if store is not None and key is not None:
-                store.put(
-                    key,
-                    {
-                        "schedulable": bool(schedulable),
-                        "converged": bool(converged),
-                        "transaction_wcrt": [float(w) for w in wcrts],
-                    },
-                )
-                store_state = "miss"
-            else:
-                store_state = "off"
-        deadlines = [
-            float(tr.deadline) for tr in request.system.transactions
+        if stored is not None:
+            return _analyze_response(known, stored, "hit")
+        result = analyze(request.system, config=request.config)
+        wcrts = [
+            result.transaction_wcrt[i] for i in range(len(known.deadlines))
         ]
-        return _json(
-            200,
+        answer = (result.schedulable, result.converged, wcrts)
+        if store is None:
+            return _analyze_response(known, answer, "off")
+        store.put(
+            known.key,
             {
-                "schedulable": schedulable,
-                "converged": converged,
-                "method": request.config.method,
-                "mode": request.config.mode,
-                "store": store_state,
-                "transactions": [
-                    {
-                        "wcrt": _finite(w),
-                        "deadline": d,
-                        "slack": _finite(d - w),
-                        "meets": w <= d + 1e-9,
-                    }
-                    for w, d in zip(wcrts, deadlines)
-                ],
+                "schedulable": bool(result.schedulable),
+                "converged": bool(result.converged),
+                "transaction_wcrt": [float(w) for w in wcrts],
             },
         )
+        return _analyze_response(known, answer, "miss")
 
     def _handle_submit(self, body: Any):
         request = CampaignRequest.parse(body)
@@ -394,6 +406,48 @@ def _finite(value: float) -> float | str:
     if math.isinf(value):
         return "Infinity" if value > 0 else "-Infinity"
     return value
+
+
+def _analyze_response(known: _Analyzed, answer: tuple, store_state: str):
+    """The ``200`` of ``/analyze``, whether the store or an analysis
+    supplied ``answer = (schedulable, converged, wcrts)``."""
+    schedulable, converged, wcrts = answer
+    return _json(
+        200,
+        {
+            "schedulable": schedulable,
+            "converged": converged,
+            "method": known.method,
+            "mode": known.mode,
+            "store": store_state,
+            "transactions": [
+                {
+                    "wcrt": _finite(w),
+                    "deadline": d,
+                    "slack": _finite(d - w),
+                    "meets": w <= d + 1e-9,
+                }
+                for w, d in zip(wcrts, known.deadlines)
+            ],
+        },
+    )
+
+
+def _stored_answer(
+    entry: dict | None, known: _Analyzed
+) -> tuple[bool, bool, list[float]] | None:
+    """``(schedulable, converged, wcrts)`` of a stored ``/analyze`` entry;
+    None on a miss or a malformed/foreign entry (analyze fresh)."""
+    if entry is None:
+        return None
+    wcrts = entry.get("transaction_wcrt")
+    if not isinstance(wcrts, list) or len(wcrts) != len(known.deadlines):
+        return None
+    return (
+        bool(entry["schedulable"]),
+        bool(entry["converged"]),
+        [float(w) for w in wcrts],
+    )
 
 
 def _parse_body(body: bytes) -> Any:

@@ -24,7 +24,7 @@ refuses to encode them as bare tokens.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 from repro.analysis import AnalysisConfig
@@ -93,8 +93,6 @@ class AnalyzeRequest:
 
     system: TransactionSystem
     config: AnalysisConfig
-    #: Raw system dict, kept for content hashing without re-serializing.
-    system_dict: dict = field(repr=False, default_factory=dict)
 
     @classmethod
     def parse(cls, body: Any) -> "AnalyzeRequest":
@@ -127,7 +125,6 @@ class AnalyzeRequest:
             config=AnalysisConfig(
                 method=method, best_case=best_case, mode=mode
             ),
-            system_dict=system_dict,
         )
 
 

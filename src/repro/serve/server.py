@@ -77,12 +77,14 @@ def _serve_stdlib(app: ReproServeApp, host: str, port: int) -> int:
             previous[signum] = signal.signal(signum, _graceful)
         except ValueError:  # pragma: no cover - non-main thread embedding
             pass
-    print(
-        f"repro serve: listening on http://{host}:{server.server_port} "
-        "(stdlib http.server bridge; install uvicorn for the ASGI "
-        "event loop)"
-    )
     try:
+        # Inside the try: a signal that lands as soon as the banner is
+        # out (a client may act on it at once) still shuts down cleanly.
+        print(
+            f"repro serve: listening on http://{host}:{server.server_port} "
+            "(stdlib http.server bridge; install uvicorn for the ASGI "
+            "event loop)"
+        )
         server.serve_forever(poll_interval=0.2)
     except KeyboardInterrupt:
         pass

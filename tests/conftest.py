@@ -8,6 +8,7 @@ import signal
 import pytest
 
 from repro.paper import sensor_fusion_system
+from system_edits import OVERFLOWING_SYSTEMS, paper_dict_with
 
 try:
     import numpy  # noqa: F401
@@ -86,19 +87,6 @@ def small_random_system(request):
     return gen.random_system(spec, seed=request.param)
 
 
-def paper_dict_with(path: tuple, value) -> dict:
-    """The paper example's system dict with the entry at *path* set to
-    *value*."""
-    from repro.io import system_to_dict
-
-    data = system_to_dict(sensor_fusion_system())
-    node = data
-    for key in path[:-1]:
-        node = node[key]
-    node[path[-1]] = value
-    return data
-
-
 #: One-entry edits of the paper example the loader must reject, with the
 #: text its error names the entry by: ``name -> (path, value, text)``.
 MALFORMED_EDITS = {
@@ -144,6 +132,13 @@ def huge_deadline_system() -> dict:
     """The paper example with transaction 0's deadline at 1e30: its
     derived jitters, capped at the deadline, span ~2e28 periods."""
     return paper_dict_with(("transactions", 0, "deadline"), 1e30)
+
+
+@pytest.fixture(params=sorted(OVERFLOWING_SYSTEMS))
+def overflowing_system(request) -> tuple[dict, str | None]:
+    """A system whose finite values overflow once summed, and the text
+    its load error carries (None: it loads and is unschedulable)."""
+    return OVERFLOWING_SYSTEMS[request.param]
 
 
 @contextlib.contextmanager

@@ -1,16 +1,20 @@
 """Edge cases of the holistic outer iteration and its configuration."""
 
 import math
+import sys
 
 import pytest
 
 from repro.analysis import AnalysisConfig, analyze
 from repro.analysis.interfaces import UNSCHEDULABLE
+from repro.io import system_from_dict
 from repro.model.system import TransactionSystem
 from repro.model.task import Task
 from repro.model.transaction import Transaction
 from repro.paper import sensor_fusion_system
 from repro.platforms.linear import DedicatedPlatform, LinearSupplyPlatform
+
+from system_edits import paper_dict_with
 
 
 def chain_system(*, deadline=50.0, wcets=(6.0, 6.0)):
@@ -109,6 +113,57 @@ class TestDivergenceShapes:
             chain_system(), config=AnalysisConfig(busy_bound_factor=30)
         )
         assert result.misses() == [1]
+
+
+class TestOverflowingSums:
+    """Finite values whose sums or job counts overflow: a busy iterate or
+    a job count reaching inf is divergence, and a first iterate that is
+    already inf is a load error."""
+
+    def test_modes_agree_or_load_rejects(self, overflowing_system):
+        data, text = overflowing_system
+        if text is not None:
+            with pytest.raises(ValueError) as info:
+                system_from_dict(data)
+            assert text in str(info.value)
+            return
+        verdicts = {
+            mode: analyze(system_from_dict(data), mode=mode).schedulable
+            for mode in ("exact", "verdict")
+        }
+        assert verdicts == {"exact": False, "verdict": False}
+
+    def test_busy_bound_is_capped_at_the_largest_float(self):
+        system = chain_system(deadline=1e306)
+        assert AnalysisConfig().busy_bound(system) == sys.float_info.max
+
+    def test_finite_busy_bound_unchanged(self):
+        config = AnalysisConfig(busy_bound_factor=30)
+        assert config.busy_bound(chain_system()) == 30 * 50.0
+        assert AnalysisConfig().busy_bound(sensor_fusion_system()) == (
+            1000.0 * 70.0
+        )
+
+
+class TestJobCountCeiling:
+    @pytest.mark.parametrize("deadline_of", [1, 2])
+    def test_busy_period_past_max_job_count_diverges(self, deadline_of,
+                                                      within):
+        """A 2**63 blocking term beside a 2**63 deadline (which lifts the
+        busy bound) closes a busy period of ~6e17 period-15 jobs: it counts
+        as divergence in both modes instead of being enumerated job by
+        job (exact mode, and verdict mode with both edits on transaction
+        1, had not answered after 5 s)."""
+        data = paper_dict_with(("transactions", 1, "tasks", 0, "blocking"),
+                               2**63)
+        data["transactions"][deadline_of]["deadline"] = 2**63
+        with within(5.0):
+            results = [
+                analyze(system_from_dict(data), mode=mode)
+                for mode in ("exact", "verdict")
+            ]
+        assert [r.schedulable for r in results] == [False, False]
+        assert all(math.isinf(r.transaction_wcrt[1]) for r in results)
 
 
 class TestInputPreservation:

@@ -80,6 +80,24 @@ class TestAnalyze:
         assert err.startswith("error: ") and text in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("mode", ["exact", "verdict"])
+    def test_overflowing_sums_exit_cleanly(self, tmp_path, capsys,
+                                           overflowing_system, mode):
+        """Exit 1 (unschedulable) or 2 (rejected on load), never an
+        OverflowError traceback."""
+        data, text = overflowing_system
+        path = tmp_path / "system.json"
+        path.write_text(json.dumps(data))
+        code = main(["analyze", str(path), "--mode", mode])
+        out, err = capsys.readouterr()
+        assert "Traceback" not in err
+        if text is None:
+            assert code == 1
+            assert "schedulable: False" in out
+        else:
+            assert code == 2
+            assert err.startswith("error: ") and text in err
+
     def test_huge_deadline_verdict_exits_zero(self, tmp_path,
                                               huge_deadline_system):
         """The verdict-mode prefilter declines a 1e30 deadline's caps

@@ -1,7 +1,6 @@
 """Tests for system serialization."""
 
 import copy
-import math
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -21,6 +20,8 @@ from repro.platforms import (
     PFairPlatform,
     StaticPartitionPlatform,
 )
+
+from system_edits import LEAF_VALUES, leaf_paths, set_leaf
 
 
 class TestRoundTrip:
@@ -110,17 +111,6 @@ class TestMalformedInput:
 
 
 _PAPER = system_to_dict(sensor_fusion_system())
-#: Marker value: delete the entry instead of replacing it.
-_DELETE = object()
-
-
-def _leaf_paths(node, path=()):
-    if isinstance(node, (dict, list)):
-        keys = node if isinstance(node, dict) else range(len(node))
-        for key in keys:
-            yield from _leaf_paths(node[key], path + (key,))
-    else:
-        yield path
 
 
 @settings(
@@ -128,24 +118,15 @@ def _leaf_paths(node, path=()):
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
 @given(
-    path=st.sampled_from(list(_leaf_paths(_PAPER))),
-    value=st.sampled_from(
-        [None, True, False, "x", 1e308, -1e308, 2**63, math.nan, [], {},
-         _DELETE]
-    ),
+    path=st.sampled_from(list(leaf_paths(_PAPER))),
+    value=st.sampled_from(LEAF_VALUES),
 )
 def test_single_leaf_mutation_fails_cleanly_or_answers(path, value, within):
     """One leaf of the paper example swapped for a hostile value (or
     deleted): the loader raises ValueError/KeyError, or both analysis
     modes answer within 5 s."""
     data = copy.deepcopy(_PAPER)
-    node = data
-    for key in path[:-1]:
-        node = node[key]
-    if value is _DELETE:
-        del node[path[-1]]
-    else:
-        node[path[-1]] = value
+    set_leaf(data, path, value)
     try:
         system = system_from_dict(data)
     except (ValueError, KeyError):

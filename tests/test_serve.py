@@ -14,13 +14,19 @@ stdlib bridge to pin the production path.  The acceptance spine:
 
 from __future__ import annotations
 
+import copy
 import json
+import shutil
+import sys
 import threading
 import time
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+import repro.serve.app as app_module
 from repro.batch.campaign import Campaign, CampaignSpec
+from repro.batch.store import ResultStore
 from repro.cli import main as cli_main
 from repro.io import system_to_dict
 from repro.paper import sensor_fusion_system
@@ -36,6 +42,8 @@ from repro.serve.schemas import (
     ValidationError,
 )
 from repro.serve.testclient import TestClient, call_asgi
+
+from system_edits import LEAF_VALUES, OVERFLOWING_SYSTEMS, leaf_paths, set_leaf
 
 pytestmark = pytest.mark.serve
 
@@ -262,6 +270,261 @@ class TestAnalyze:
             response = client.post("/analyze", json={"system": system})
             assert response.status == 400
             assert message in response.json()["detail"][0]
+
+    @pytest.mark.parametrize("mode", ["exact", "verdict"])
+    def test_overflowing_sums_never_500(self, tmp_path, overflowing_system,
+                                        mode):
+        """Finite values whose sums or job counts overflow answer 200
+        (unschedulable) or 400 (rejected on load); exact mode was a 500."""
+        data, text = overflowing_system
+        with make_client(tmp_path) as client:
+            response = client.post(
+                "/analyze", json={"system": data, "mode": mode}
+            )
+        if text is None:
+            assert response.status == 200, response.body[:300]
+            assert response.json()["schedulable"] is False
+        else:
+            assert response.status == 400, response.body[:300]
+            assert text in response.json()["detail"][0]
+
+
+def paper_body(**fields) -> bytes:
+    """An ``/analyze`` body for the paper example."""
+    return json.dumps(
+        {"system": system_to_dict(sensor_fusion_system()), **fields}
+    ).encode()
+
+
+@pytest.fixture
+def spies(monkeypatch):
+    """Counts of ``AnalyzeRequest.parse`` and ``system_hash`` calls made
+    by the app."""
+    counts = {"parse": 0, "hash": 0}
+    parse = AnalyzeRequest.parse
+    system_hash = app_module.system_hash
+
+    def counted_parse(cls, body):
+        counts["parse"] += 1
+        return parse(body)
+
+    def counted_hash(system):
+        counts["hash"] += 1
+        return system_hash(system)
+
+    monkeypatch.setattr(AnalyzeRequest, "parse", classmethod(counted_parse))
+    monkeypatch.setattr(app_module, "system_hash", counted_hash)
+    return counts
+
+
+class TestAnalyzeMemo:
+    """A byte-identical repeat is answered from its remembered store key;
+    the store stays the only source of answers."""
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            paper_body(),
+            paper_body(mode="verdict", method="exact"),
+            json.dumps(
+                {"system": OVERFLOWING_SYSTEMS["two_transactions"][0]}
+            ).encode(),
+        ],
+        ids=["exact", "verdict", "infinite_wcrt"],
+    )
+    def test_repeat_answers_the_bytes_of_a_fresh_app(self, tmp_path, body):
+        with make_client(tmp_path) as client:
+            miss, *repeats = (
+                client.post("/analyze", body=body) for _ in range(3)
+            )
+        with make_client(tmp_path) as fresh:
+            reference = fresh.post("/analyze", body=body)
+        assert miss.json()["store"] == "miss"
+        assert reference.json()["store"] == "hit"
+        for repeat in repeats:
+            assert repeat.status == reference.status == 200
+            assert repeat.body == reference.body
+        expected = dict(reference.json(), store="miss")
+        assert miss.json() == expected
+
+    def test_repeats_skip_parse_and_hash(self, tmp_path, spies):
+        body = paper_body()
+        with make_client(tmp_path) as client:
+            for _ in range(5):
+                assert client.post("/analyze", body=body).status == 200
+            assert spies == {"parse": 1, "hash": 1}
+            client.post("/analyze", body=paper_body(mode="verdict"))
+            assert spies == {"parse": 2, "hash": 2}
+            reserialized = json.dumps(json.loads(body), indent=1).encode()
+            answer = client.post("/analyze", body=reserialized).json()
+            assert spies == {"parse": 3, "hash": 3}
+            assert answer["store"] == "hit"
+            stats = client.get("/stats").json()["analyze"]
+        assert stats == {"requests": 7, "store_hits": 5}
+
+    def test_store_miss_behind_a_memo_hit(self, tmp_path, spies):
+        body = paper_body()
+        store = tmp_path / "store"
+        with make_client(tmp_path) as client:
+            first, second = (
+                client.post("/analyze", body=body).json() for _ in range(2)
+            )
+            assert (first["store"], second["store"]) == ("miss", "hit")
+            shutil.rmtree(store)
+            third = client.post("/analyze", body=body).json()
+            assert third["store"] == "miss"
+            assert third["transactions"] == first["transactions"]
+            assert spies["parse"] == 2
+            assert ResultStore(store).stats().entries == 1
+            assert client.post("/analyze", body=body).json()["store"] == "hit"
+            stats = client.get("/stats").json()["analyze"]
+        assert stats == {"requests": 4, "store_hits": 2}
+
+    def test_malformed_entry_is_reanalyzed(self, tmp_path, spies):
+        """A wrong-length ``transaction_wcrt`` under an intact identity is
+        analyzed afresh on every request, the entry left as it is (the
+        store is put-if-absent)."""
+        body = paper_body()
+        store = ResultStore(tmp_path / "store")
+        with make_client(tmp_path) as client:
+            first = client.post("/analyze", body=body).json()
+            (path,) = (p for p, _stat in store.iter_entries())
+            entry = json.loads(path.read_text())
+            entry["value"]["transaction_wcrt"] = [1.0]
+            path.write_text(json.dumps(entry))
+            again = [
+                client.post("/analyze", body=body).json() for _ in range(2)
+            ]
+            stats = client.get("/stats").json()["analyze"]
+        for answer in again:
+            assert answer == first
+        assert spies["parse"] == 3
+        assert json.loads(path.read_text()) == entry
+        assert stats == {"requests": 3, "store_hits": 0}
+
+    def test_invalid_body_is_never_remembered(self, tmp_path, spies):
+        body = json.dumps({"system": {"transactions": 3}}).encode()
+        with make_client(tmp_path) as client:
+            for _ in range(2):
+                assert client.post("/analyze", body=body).status == 400
+            assert not client.app._memo
+        assert spies["parse"] == 2
+
+    def test_no_store_parses_every_request(self, spies):
+        body = paper_body()
+        with make_client() as client:
+            states = [
+                client.post("/analyze", body=body).json()["store"]
+                for _ in range(3)
+            ]
+            assert not client.app._memo
+        assert states == ["off"] * 3
+        assert spies == {"parse": 3, "hash": 0}
+
+    def test_memo_is_a_bounded_lru(self, tmp_path, spies, monkeypatch):
+        bound = 4
+        monkeypatch.setattr(app_module, "ANALYZE_MEMO_SIZE", bound)
+        # Distinct bodies of one system: the name is not hashed, so every
+        # body after the first is a store hit.
+        system = system_to_dict(sensor_fusion_system())
+        bodies = [
+            json.dumps({"system": dict(system, name=f"s{i}")}).encode()
+            for i in range(bound + 3)
+        ]
+        with make_client(tmp_path) as client:
+            for body in bodies:
+                assert client.post("/analyze", body=body).status == 200
+            assert len(client.app._memo) == bound
+            assert spies["parse"] == bound + 3
+            client.post("/analyze", body=bodies[-1])
+            assert spies["parse"] == bound + 3
+            client.post("/analyze", body=bodies[0])
+            assert spies["parse"] == bound + 4
+            assert len(client.app._memo) == bound
+
+    def test_concurrent_first_posts(self, tmp_path):
+        body = paper_body(mode="verdict")
+        threads = 8
+        barrier = threading.Barrier(threads, timeout=30)
+        responses: list = [None] * threads
+        with make_client(tmp_path) as client:
+
+            def post(i: int) -> None:
+                barrier.wait()
+                responses[i] = client.post("/analyze", body=body)
+
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                workers = [
+                    threading.Thread(target=post, args=(i,), daemon=True)
+                    for i in range(threads)
+                ]
+                for worker in workers:
+                    worker.start()
+                for worker in workers:
+                    worker.join(timeout=60)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(worker.is_alive() for worker in workers)
+            stats = client.get("/stats").json()["analyze"]
+            assert len(client.app._memo) == 1
+        assert all(r is not None and r.status == 200 for r in responses)
+        answers = [r.json() for r in responses]
+        assert all(
+            a["transactions"] == answers[0]["transactions"] for a in answers
+        )
+        hits = sum(a["store"] == "hit" for a in answers)
+        assert stats == {"requests": threads, "store_hits": hits}
+
+
+#: The paper-example request a whole-body fuzz mutates, and the leaves it
+#: may change: every system leaf plus ``mode`` and ``method``.
+_FUZZ_REQUEST = {
+    "system": system_to_dict(sensor_fusion_system()),
+    "mode": "exact",
+    "method": "reduced",
+}
+_FUZZ_PATHS = list(leaf_paths(_FUZZ_REQUEST))
+_FUZZ_VALUES = LEAF_VALUES + [1e306, 0, -0.0, "exact", "verdict"]
+
+
+@pytest.fixture(scope="module")
+def fuzz_client(tmp_path_factory):
+    with make_client(tmp_path_factory.mktemp("fuzz")) as client:
+        yield client
+
+
+@settings(
+    max_examples=150, deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    edits=st.lists(
+        st.tuples(st.sampled_from(_FUZZ_PATHS), st.sampled_from(_FUZZ_VALUES)),
+        min_size=2, max_size=3, unique_by=lambda edit: edit[0],
+    )
+)
+def test_whole_body_mutation_answers_cleanly(edits, fuzz_client, within):
+    """Two or three leaves of the paper-example request changed at once:
+    each of two posts answers 200 or 400 within 5 s, both the same, and
+    two 200s differ in nothing but ``store``."""
+    request = copy.deepcopy(_FUZZ_REQUEST)
+    for path, value in edits:
+        set_leaf(request, path, value)
+    body = json.dumps(request).encode()
+    answers = []
+    for _ in range(2):
+        with within(5.0):
+            answers.append(fuzz_client.post("/analyze", body=body))
+    first, second = answers
+    assert first.status in (200, 400), first.body[:300]
+    assert second.status == first.status
+    if first.status == 200:
+        a, b = first.json(), second.json()
+        assert a.pop("store") in ("miss", "hit")
+        assert b.pop("store") == "hit"
+        assert a == b
 
 
 class TestCampaignJobs:
