@@ -20,16 +20,17 @@ ad-hoc loops into one engine:
 Campaigns scale past one machine by sharding at chain granularity
 (``run(shard=(k, n))`` / ``--shard k/n``; union is bit-identical to the
 single run), merge back with :func:`merge_campaign_results`
-(``python -m repro campaign-merge``), resume partially completed chains
-from their longest finished sweep prefix, and stream cells to a CSV
-without keeping them (``collect=False``); pool workers return their cells
-through the executor.  :mod:`repro.batch.dispatch` drives a whole sharded
-deployment unattended: over-partitioned shards on a work-stealing queue
-of subprocess slots, cost-aware ``lpt`` partitions fed by the
-``chain_costs`` every result records, fault-tolerant relaunch-with-resume
-and streaming auto-merge (``python -m repro campaign-dispatch``) --
-hardened by heartbeat liveness (progressing/stalled/dead), deterministic
-retry backoff, wall-clock budgets, elastic straggler splitting, and the
+(``python -m repro campaign-merge``), recover a killed run by rerunning it
+against the result store it wrote each solved cell to, and stream cells
+to a CSV without keeping them (``collect=False``); pool workers return
+their cells through the executor.  :mod:`repro.batch.dispatch` drives a
+whole sharded deployment unattended: over-partitioned shards on a
+work-stealing queue of subprocess slots, cost-aware ``lpt`` partitions
+fed by the ``chain_costs`` every result records, fault-tolerant
+relaunches against the result store and streaming auto-merge
+(``python -m repro campaign-dispatch``) -- hardened by heartbeat
+liveness (progressing/stalled/dead), deterministic retry backoff,
+wall-clock budgets, elastic straggler splitting, and the
 :mod:`repro.batch.faults` injection harness that drills every one of
 those recovery paths in tests.  :mod:`repro.batch.transport` moves shard
 artifacts between the dispatcher and per-host work directories
@@ -83,6 +84,7 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
         "StreamingMerger",
         "available_generators",
         "chain_cost_estimates",
+        "chain_store_digests",
         "linspace_levels",
         "load_cost_manifest",
         "lpt_shard_chains",

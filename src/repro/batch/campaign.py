@@ -39,14 +39,16 @@ depend only on the spec, every chain lands in exactly one shard, and the
 union of all shard results is bit-identical to the unsharded run.
 :func:`merge_campaign_results` (CLI ``python -m repro campaign-merge``)
 reassembles shard JSONs into one canonical-order result, rejecting
-incompatible specs and overlapping cells.  ``resume_from`` reuses the
-longest fully-completed sweep *prefix* of each partial chain, re-seeding
-the warm-start jitters by re-solving only the last completed level (the
-converged jitter vector is the least fixed point -- start-independent --
-so the resumed suffix is bit-identical to a from-scratch run for
-ascending-walk chains; pruned verdict chains bisect a different level
-subset on resume, so there only the *verdicts* are guaranteed
-identical).
+incompatible specs and overlapping cells.
+
+Recovery
+--------
+A run given a result store (``run(store=...)``, see
+:mod:`repro.batch.store`) writes every cell to it as the cell is solved.
+Rerunning the same command after a crash serves every stored cell and
+solves only the rest; the cells equal those of an uninterrupted run in
+every field but ``time_s``.  A run without a store keeps nothing
+between attempts and solves everything again.
 """
 
 from __future__ import annotations
@@ -85,6 +87,7 @@ __all__ = [
     "StreamingMerger",
     "available_generators",
     "chain_cost_estimates",
+    "chain_store_digests",
     "linspace_levels",
     "load_cost_manifest",
     "lpt_shard_chains",
@@ -563,9 +566,9 @@ def _chain_point_params(
 ) -> dict[str, Any]:
     """Raw generator params of one chain cell (base + point + sweep value).
 
-    The single construction point for cell params: the chain runner, the
-    resume index, and the shared-memory record decoder all derive params
-    through this helper, which is what makes their cells bit-identical.
+    The single construction point for cell params: the chain runners,
+    the store walk and the merger all derive params through this helper,
+    which is what makes their cells bit-identical.
     """
     params = dict(spec.base)
     params.update(point)
@@ -628,8 +631,8 @@ CELL_METRIC_FIELDS = (
 def _cell_identity(params: dict, seed: int, method: str) -> tuple:
     """Hashable identity of one cell: frozen params + seed + method.
 
-    This is the key ``--resume`` matches completed cells by (the cell seed
-    plus the full parameter point, including the sweep value).
+    This is the key merges match cells by (the cell seed plus the full
+    parameter point, including the sweep value).
     """
     return (
         tuple(sorted((k, _freeze(v)) for k, v in params.items())),
@@ -648,23 +651,24 @@ class CampaignResult:
     wall_time_s: float
     #: Cells appended to a streaming CSV while the campaign ran.
     streamed_cells: int = 0
-    #: Cells recovered from a ``resume_from`` result instead of re-running.
-    reused_cells: int = 0
     #: ``[k, n]`` when this result holds shard ``k`` of an ``n``-way
     #: partition (see :func:`shard_chains`); ``None`` for a full run or a
     #: merged union.
     shard: list[int] | None = None
-    #: Fixed-point solves/evaluations spent re-seeding warm-start jitters
-    #: for chain-prefix resume (work that produced no reported cell).
+    #: Fixed-point solves/evaluations spent recovering the warm-start
+    #: jitters of store-served cells (work that produced no reported cell).
     reseed_solves: int = 0
     reseed_evaluations: int = 0
     #: Cells served from / solved past the content-addressed result store
     #: (:mod:`repro.batch.store`).  Both stay 0 when no store was passed;
-    #: with a store, ``store_hits + store_misses`` covers every
-    #: non-``reused`` cell of the run.
+    #: with a store, ``store_hits + store_misses`` covers every cell of
+    #: the run.
     store_hits: int = 0
     store_misses: int = 0
-    #: True when ``max_cells`` cut the run short (simulated kill).
+    #: True for a partial result cut short before its plan was done.
+    #: Runs of this version always finish their plan; the flag survives
+    #: for result files written by earlier versions, which the merge and
+    #: the dispatcher's completeness check still read.
     truncated: bool = False
     #: Recorded wall seconds per chain index (sum of cell ``time_s`` over
     #: the chain's collected cells) -- the cost manifest a later
@@ -824,7 +828,6 @@ class CampaignResult:
             "workers": self.workers,
             "wall_time_s": self.wall_time_s,
             "streamed_cells": self.streamed_cells,
-            "reused_cells": self.reused_cells,
             "shard": self.shard,
             "reseed_solves": self.reseed_solves,
             "reseed_evaluations": self.reseed_evaluations,
@@ -844,7 +847,6 @@ class CampaignResult:
             workers=int(data.get("workers", 1)),
             wall_time_s=float(data.get("wall_time_s", 0.0)),
             streamed_cells=int(data.get("streamed_cells", 0)),
-            reused_cells=int(data.get("reused_cells", 0)),
             shard=[int(shard[0]), int(shard[1])] if shard else None,
             reseed_solves=int(data.get("reseed_solves", 0)),
             reseed_evaluations=int(data.get("reseed_evaluations", 0)),
@@ -861,12 +863,11 @@ class CampaignResult:
         """Write the result as compact JSON, atomically (write-then-rename).
 
         A kill between open and close must never leave a half-written
-        JSON at *path*: the dispatcher (and any ``--resume`` consumer)
-        treats whatever sits there as a valid partial result.  The temp
-        file is flushed and fsynced *before* the rename -- without that,
-        a crash after ``os.replace`` but before the data hits disk could
-        leave an empty-but-renamed file at *path* that a resume (or the
-        result store) would trust.
+        JSON at *path*: the dispatcher and ``campaign-merge`` treat
+        whatever sits there as a result.  The temp file is flushed and
+        fsynced *before* the rename -- without that, a crash after
+        ``os.replace`` but before the data hits disk could leave an
+        empty-but-renamed file at *path*.
         """
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -950,8 +951,8 @@ class CampaignResult:
         )
         if self.reseed_solves:
             footer += (
-                f"\nprefix resume: {self.reseed_solves} re-seed solves "
-                f"({self.reseed_evaluations} evaluations, unreported)"
+                f"\nwarm-start recovery: {self.reseed_solves} re-seed "
+                f"solves ({self.reseed_evaluations} evaluations, unreported)"
             )
         if self.store_hits or self.store_misses:
             footer += (
@@ -1024,7 +1025,6 @@ class StreamingMerger:
         self._workers = 0
         self._wall = 0.0
         self._streamed = 0
-        self._reused = 0
         self._reseed_solves = 0
         self._reseed_evaluations = 0
         self._store_hits = 0
@@ -1068,7 +1068,6 @@ class StreamingMerger:
         self._workers = max(self._workers, result.workers)
         self._wall = max(self._wall, result.wall_time_s)
         self._streamed += result.streamed_cells
-        self._reused += result.reused_cells
         self._reseed_solves += result.reseed_solves
         self._reseed_evaluations += result.reseed_evaluations
         self._store_hits += result.store_hits
@@ -1083,8 +1082,8 @@ class StreamingMerger:
             raise ValueError("need at least one result to merge")
         # Canonical order comes from the spec's chain plan alone (no
         # registry lookups, so results of custom generators merge in any
-        # process).  Missing cells are allowed: a merge of an incomplete
-        # shard set is itself a valid ``resume_from`` input.
+        # process).  Missing cells are allowed: ``campaign-merge``
+        # reports them, and a merge of an incomplete shard set merges on.
         merged_spec = CampaignSpec.from_dict(self._spec)
         index = self._index
         ordered: list[CellResult] = []
@@ -1110,7 +1109,6 @@ class StreamingMerger:
             workers=self._workers,
             wall_time_s=self._wall,
             streamed_cells=self._streamed,
-            reused_cells=self._reused,
             shard=None,
             reseed_solves=self._reseed_solves,
             reseed_evaluations=self._reseed_evaluations,
@@ -1133,8 +1131,8 @@ def merge_campaign_results(
     does a duplicated shard index or any overlapping cell (the same
     ``(params, seed, method)`` identity appearing in two inputs).  Cells
     are returned in the canonical order of the spec's chain plan; missing
-    cells are allowed (a merge of an incomplete shard set is itself a valid
-    ``resume_from`` input).
+    cells are allowed (a merge of an incomplete shard set is itself a
+    valid merge input).
 
     ``wall_time_s``/``workers`` are the maxima over the inputs (the
     concurrent-hosts reading: shards run side by side, the union is ready
@@ -1237,9 +1235,9 @@ def _inferred_cell(
 #: ``warm`` flag says the original solve produced one) but was never
 #: serialized.  The next actual solve lazily recovers it with
 #: :func:`~repro.batch.methods.reseed_jitters` against the level it was
-#: converged at -- the converged vector is the least fixed point, so the
-#: recovery reproduces it exactly (the same argument chain-prefix resume
-#: rests on) and the downstream cells stay bit-identical.
+#: converged at -- the converged vector is the least fixed point, hence
+#: independent of the start, so the recovery reproduces it exactly and
+#: the downstream cells stay bit-identical.
 _STALE_WARM: Any = object()
 
 #: Cell fields a store entry must carry to be servable (everything of a
@@ -1310,46 +1308,59 @@ def _served_cell(
     return {"order": (chain["index"], step, m_idx), "cell": cell}
 
 
-def store_reachable_digests(spec: CampaignSpec) -> set[str]:
-    """Digests of every store entry a run of *spec* would consult.
+def chain_store_digests(spec: CampaignSpec, chain: dict) -> list[str]:
+    """Digests of the store entries one chain of *spec* reads and writes.
 
     Replays the generation walk of :func:`_run_chain_sweep` -- scaler
-    when the generator has one, fresh generation otherwise -- for every
-    chain and sweep step, and collects the :meth:`StoreKey.digest` of
-    each (system, config, level, method) cell.  This is the reachability
-    set ``store-gc --spec`` keeps: pruning everything else leaves the
-    store exactly warm for that spec.  Generation is cheap relative to
-    analysis (O(tasks) per cell, no fixed points), but the walk still
-    touches every chain, so expect seconds, not milliseconds, on big
-    grids.
+    when the generator has one, fresh generation otherwise -- over the
+    chain's sweep steps and returns the :meth:`StoreKey.digest` of each
+    (system, config, level, method) cell, one per cell of the chain.
+    The pruned runner derives its levels through the same scaler from
+    the same base, so its cells share these keys.
     """
     cfg_hash = campaign_config_hash(spec)
-    digests: set[str] = set()
     scaler = (
         GENERATOR_SWEEP_SCALERS.get(spec.generator)
         if spec.sweep_axis is not None
         else None
     )
+    point, seed = chain["point"], chain["seed"]
+    digests: list[str] = []
+    base_system: TransactionSystem | None = None
+    base_value: Any = None
+    for step, sweep_value in enumerate(spec.sweep_values()):
+        system = None
+        if scaler is not None and base_system is not None:
+            system = scaler(
+                base_system, spec.sweep_axis, base_value, sweep_value
+            )
+        if system is None:
+            system = GENERATORS[spec.generator](
+                _chain_point_params(spec, point, step), seed
+            )
+            base_system, base_value = system, sweep_value
+        sys_hash = system_hash(system)
+        level = _jsonify(sweep_value)
+        digests.extend(
+            StoreKey(sys_hash, cfg_hash, level, name).digest()
+            for name in spec.methods
+        )
+    return digests
+
+
+def store_reachable_digests(spec: CampaignSpec) -> set[str]:
+    """Digests of every store entry a run of *spec* would consult.
+
+    The union of :func:`chain_store_digests` over every chain of the
+    plan: the reachability set ``store-gc --spec`` keeps, so pruning
+    everything else leaves the store exactly warm for that spec.
+    Generation is cheap relative to analysis (O(tasks) per cell, no
+    fixed points), but the walk still touches every chain, so expect
+    seconds, not milliseconds, on big grids.
+    """
+    digests: set[str] = set()
     for chain in spec.chains():
-        point, seed = chain["point"], chain["seed"]
-        base_system: TransactionSystem | None = None
-        base_value: Any = None
-        for step, sweep_value in enumerate(spec.sweep_values()):
-            params = _chain_point_params(spec, point, step)
-            system = None
-            if scaler is not None and base_system is not None:
-                system = scaler(
-                    base_system, spec.sweep_axis, base_value, sweep_value
-                )
-            if system is None:
-                system = GENERATORS[spec.generator](params, seed)
-                base_system, base_value = system, sweep_value
-            sys_hash = system_hash(system)
-            level = _jsonify(sweep_value)
-            for name in spec.methods:
-                digests.add(
-                    StoreKey(sys_hash, cfg_hash, level, name).digest()
-                )
+        digests.update(chain_store_digests(spec, chain))
     return digests
 
 
@@ -1357,20 +1368,6 @@ def _run_chain_sweep(
     spec: CampaignSpec, chain: dict, store: ResultStore | None = None
 ) -> tuple[list[dict], int]:
     """The ascending warm-start walk over one chain's sweep levels.
-
-    When ``chain["resume_step"]`` is set (chain-prefix resume), sweep
-    steps before it are already recorded: their analyses are skipped, but
-    generation/scaling is replayed so the chain's scaling base evolves
-    exactly as in a from-scratch run -- a custom sweep scaler may
-    *decline* (return ``None``) at any level, which regenerates and
-    re-bases the chain there, so the skipped levels' scaler calls cannot
-    be elided in general (for the built-in linear scaler the base never
-    moves and the replay is redundant-but-cheap, O(tasks) per skipped
-    level).  The last completed step is then re-solved (cold, unreported)
-    purely to recover the warm-start jitter vector the remaining steps
-    chain from -- the converged jitters are the least fixed point, so the
-    re-solve hands the suffix exactly the vector the original run would
-    have.
 
     With a *store*, each sweep step first consults the content-addressed
     result store.  Serving is all-or-nothing per step: the methods of
@@ -1384,7 +1381,6 @@ def _run_chain_sweep(
     """
     point: dict[str, Any] = chain["point"]
     seed: int = chain["seed"]
-    resume_step: int = int(chain.get("resume_step", 0))
 
     warm: dict[str, Any] = {m: None for m in spec.methods}
     out: list[dict] = []
@@ -1399,12 +1395,6 @@ def _run_chain_sweep(
     base_system: TransactionSystem | None = None
     base_value: Any = None
     for step, sweep_value in enumerate(spec.sweep_values()):
-        skip = step < resume_step - 1
-        reseed = resume_step > 0 and step == resume_step - 1
-        if skip and scaler is None:
-            # Without a sweep scaler every level is generated independently
-            # from (params, seed); skipped levels need no replay at all.
-            continue
         params = _chain_point_params(spec, point, step)
         system = None
         if scaler is not None and base_system is not None:
@@ -1414,17 +1404,6 @@ def _run_chain_sweep(
         if system is None:
             system = GENERATORS[spec.generator](params, seed)
             base_system, base_value = system, sweep_value
-        if skip:
-            continue
-        # A fresh cache per sweep step keeps per-cell hit/miss accounting
-        # independent of which worker ran the previous chain.
-        clear_phase_cache()
-        if reseed:
-            if spec.warm_start:
-                for name in spec.methods:
-                    warm[name] = reseed_jitters(name, system)
-            prev_system = system
-            continue
         keys: dict[str, StoreKey] | None = None
         entries: list[dict] | None = None
         if store is not None:
@@ -1447,15 +1426,20 @@ def _run_chain_sweep(
             hits += len(spec.methods)
             prev_system = system
             continue
+        for name in spec.methods:
+            if spec.warm_start and warm[name] is _STALE_WARM:
+                # The previous step was served, so the vector its solve
+                # would have produced was never materialized; recover it
+                # from that step's system (prev_system).
+                warm[name] = reseed_jitters(name, prev_system)
+        # A fresh cache per solved step keeps per-cell hit/miss accounting
+        # independent of which worker ran the previous chain, and of the
+        # re-seed solves just above.
+        clear_phase_cache()
         for m_idx, name in enumerate(spec.methods):
             info = resolve_method(name)
             warm_vector = None
             if spec.warm_start and info.supports_warm_start:
-                if warm[name] is _STALE_WARM:
-                    # The previous step was served, so the vector its solve
-                    # would have produced was never materialized; recover
-                    # it from that step's system (prev_system).
-                    warm[name] = reseed_jitters(name, prev_system)
                 warm_vector = warm[name]
             outcome, tagged = _analyze_cell(
                 spec, chain, step, m_idx, name, info.fn, system, warm_vector
@@ -1499,25 +1483,21 @@ def _run_chain_pruned(
     falls back to the ascending walk too.
 
     With a *store*, serving is per cell (every pruned-path solve clears
-    the phase cache itself, so cells are accounting-independent), but
-    only for *from-scratch* chains: a resumed bisection covers a
-    resume-dependent level subset with resume-dependent inference
-    witnesses, so its cells are not scratch-canonical and must neither
-    serve from nor seed the store.  Each monotone method first checks
-    whether the *whole* chain is stored (the fully-warm fast path -- it
-    serves solved and inferred cells alike, which is what makes a warm
-    rerun count ``store_hits == n_analyses``); otherwise bisection
-    probes serve individually and solved probes (plus the final inferred
-    cells) are written back.  Returns ``(tagged cells, store hits)`` or
-    ``None`` for the fallback.
+    the phase cache itself, so cells are accounting-independent).  Each
+    monotone method first checks whether the *whole* chain is stored
+    (the fully-warm fast path -- it serves solved and inferred cells
+    alike, which is what makes a warm rerun count ``store_hits ==
+    n_analyses``); otherwise bisection probes serve individually and
+    solved probes (plus the final inferred cells) are written back.  A
+    served probe carries the verdict its solve had, so the bisection
+    visits the levels a storeless run visits and emits the same cells.
+    Returns ``(tagged cells, store hits)`` or ``None`` for the fallback.
     """
     scaler = GENERATOR_SWEEP_SCALERS.get(spec.generator)
     if scaler is None or spec.sweep_axis != "utilization":
         return None
     point: dict[str, Any] = chain["point"]
     seed: int = chain["seed"]
-    resume_step: int = int(chain.get("resume_step", 0))
-    resume_unsched: dict = chain.get("resume_unsched") or {}
     sweep_values = spec.sweep_values()
     n_steps = len(sweep_values)
 
@@ -1533,7 +1513,7 @@ def _run_chain_pruned(
             return None
         systems.append(scaled)
 
-    use_store = store is not None and resume_step == 0
+    use_store = store is not None
     cfg_hash = campaign_config_hash(spec) if use_store else ""
     sys_hashes: list[str | None] = [None] * n_steps
 
@@ -1560,12 +1540,6 @@ def _run_chain_pruned(
         warm: Any = None
         #: Level whose served cell made ``warm`` stale (see _STALE_WARM).
         stale_step: int | None = None
-        if (
-            resume_step > 0
-            and spec.warm_start
-            and not resume_unsched.get(name)
-        ):
-            warm = reseed_jitters(name, systems[resume_step - 1])
 
         def solve(step: int, warm_vector: dict | None) -> tuple[Any, dict]:
             clear_phase_cache()
@@ -1587,7 +1561,7 @@ def _run_chain_pruned(
                 continue
 
         if not info.verdict_monotone:
-            for step in range(resume_step, n_steps):
+            for step in range(n_steps):
                 entry = lookup(step)
                 if entry is not None:
                     out.append(
@@ -1610,15 +1584,13 @@ def _run_chain_pruned(
                     )
             continue
 
-        # Bisect [resume_step, n_steps) for the lowest unschedulable
-        # level.  Warm starts flow only upward: a schedulable probe's
-        # converged jitters seed higher probes (they lie below the higher
-        # level's fixed point); unschedulable probes never seed anything
-        # (all later probes are below them).
+        # Bisect [0, n_steps) for the lowest unschedulable level.  Warm
+        # starts flow only upward: a schedulable probe's converged jitters
+        # seed higher probes (they lie below the higher level's fixed
+        # point); unschedulable probes never seed anything (all later
+        # probes are below them).
         solved: dict[int, dict] = {}
-        lo, hi = resume_step, n_steps
-        if resume_unsched.get(name):
-            hi = lo  # the reused prefix already contains a miss
+        lo, hi = 0, n_steps
         while lo < hi:
             mid = (lo + hi) // 2
             entry = lookup(mid)
@@ -1654,24 +1626,18 @@ def _run_chain_pruned(
             else:
                 hi = mid
         threshold = lo
-        for step in range(resume_step, n_steps):
+        for step in range(n_steps):
             if step in solved:
                 out.append(solved[step])
                 continue
-            if step < threshold:
-                tagged = _inferred_cell(
-                    spec, chain, step, m_idx, name, True,
-                    sweep_values[threshold - 1],
-                )
-            else:
-                witness = (
-                    sweep_values[threshold]
-                    if threshold in solved
-                    else sweep_values[resume_step - 1]
-                )
-                tagged = _inferred_cell(
-                    spec, chain, step, m_idx, name, False, witness
-                )
+            # A level below the threshold is inferred schedulable from the
+            # probed pass just under it, one above it unschedulable from
+            # the probed miss at it.
+            schedulable = step < threshold
+            witness = sweep_values[threshold - 1 if schedulable else threshold]
+            tagged = _inferred_cell(
+                spec, chain, step, m_idx, name, schedulable, witness
+            )
             # Inferred cells are stored too: the fully-warm fast path
             # above can then serve the complete chain without a single
             # probe (they carry no warm vector, hence "warm": False).
@@ -1681,9 +1647,9 @@ def _run_chain_pruned(
                     _store_payload(tagged["cell"], False),
                 )
             out.append(tagged)
-    # Canonical (step, method) order: truncation (--max-cells) and the
-    # streaming CSV then see whole levels complete in sweep order, exactly
-    # like the ascending walk -- the invariant chain-prefix resume needs.
+    # Canonical (step, method) order: the streaming CSV and the fault
+    # harness's cell boundaries then see whole levels complete in sweep
+    # order, exactly like the ascending walk.
     out.sort(key=lambda item: item["order"])
     return out, hits
 
@@ -1937,52 +1903,16 @@ class Campaign:
         """The planned chains (sequential units of execution)."""
         return self.spec.chains()
 
-    def _chain_prefix_from(
-        self, chain: dict, index: dict
-    ) -> tuple[list[dict], int]:
-        """Longest fully-completed sweep prefix of *chain* in a resume index.
-
-        Returns ``(tagged cells of the prefix, completed sweep steps)``.  A
-        step counts as completed only when *every* method's cell for it is
-        present (a mid-level kill re-runs that level whole); the remaining
-        steps re-run with the warm-start state re-seeded from the last
-        completed level (see :func:`_run_chain`).
-        """
-        out: list[dict] = []
-        steps = 0
-        for step in range(len(self.spec.sweep_values())):
-            params = _jsonify(
-                _chain_point_params(self.spec, chain["point"], step)
-            )
-            level: list[dict] = []
-            for m_idx, name in enumerate(self.spec.methods):
-                cell = index.get(_cell_identity(params, chain["seed"], name))
-                if cell is None:
-                    return out, steps
-                level.append(
-                    {
-                        "order": (chain["index"], step, m_idx),
-                        "cell": cell.to_dict(),
-                    }
-                )
-            out.extend(level)
-            steps += 1
-        return out, steps
-
     def run(
         self,
         *,
         workers: int = 1,
         chunk_size: int | None = None,
-        resume_from: CampaignResult | None = None,
         stream_csv: str | Path | None = None,
         collect: bool = True,
         shard: tuple[int, int] | None = None,
         partition: str = "hash",
         cost_manifest: dict[int, float] | None = None,
-        max_cells: int | None = None,
-        checkpoint: str | Path | None = None,
-        checkpoint_every: int = 0,
         store: ResultStore | str | Path | None = None,
         chain_indices: Sequence[int] | None = None,
         heartbeat: str | Path | None = None,
@@ -1999,18 +1929,6 @@ class Campaign:
         chunk_size:
             Chains per pool task (>= 1); ``None`` picks
             ``ceil(chains / (4 x workers))``.
-        resume_from:
-            A previous (possibly partial) result for the same spec: chains
-            whose cells are all present there (matched by cell seed + full
-            parameter point + method) are reused instead of re-run, and a
-            partially completed chain reuses its longest fully-completed
-            sweep *prefix* -- the warm-start state is re-seeded by
-            re-solving the last completed level, so the re-run suffix is
-            bit-identical to a from-scratch execution for ascending-walk
-            chains.  Pruned verdict chains bisect the remaining levels,
-            which generally solves a different subset than a from-scratch
-            run would: verdicts are identical, the solved-vs-inferred
-            split (and with it per-cell accounting) is not.
         stream_csv:
             Append each finished cell to this CSV as its chain completes,
             instead of waiting for the whole campaign.
@@ -2035,26 +1953,18 @@ class Campaign:
             block of a previous result, see :func:`load_cost_manifest`)
             driving the ``"lpt"`` partition; ``None`` falls back to the
             ``levels x n_tasks`` size proxy.
-        max_cells:
-            Stop collecting after this many cells and return the partial
-            (``truncated=True``) result -- a deterministic simulation of a
-            mid-campaign kill, for resume testing and budgeted runs.
-        checkpoint:
-            Atomically rewrite a partial result JSON here as the run
-            progresses, so a killed process leaves a valid ``--resume``
-            input behind (the dispatcher's fault-tolerance substrate).
-        checkpoint_every:
-            Cells between checkpoint writes (required > 0 when
-            *checkpoint* is set; checkpointing needs ``collect=True``).
         store:
             A :class:`~repro.batch.store.ResultStore` (or its root
             directory) memoizing solved cells *across* runs by content
             hash: cells whose (system, execution context, level, method)
             was solved before -- by this run, an earlier run, or another
             shard sharing the store -- are served from disk, and freshly
-            solved cells are written back.  A store-warmed rerun is
-            bit-identical to a cold run (same cells, same canonical
-            order); only ``store_hits``/``store_misses`` differ.
+            solved cells are written back as they are solved.  A
+            store-warmed rerun is bit-identical to a cold run (same
+            cells, same canonical order); only ``store_hits``/
+            ``store_misses`` differ.  This is also the crash-recovery
+            path: rerunning a killed run against its store solves only
+            the cells the killed run had not stored.
         chain_indices:
             Run only the chains with these plan indices (see
             :meth:`chains`), in canonical plan order.  This is the
@@ -2091,17 +2001,10 @@ ProcessPoolExecutor` to run chain chunks on instead of creating (and
             raise ValueError(f"collect must be True or False, got {collect!r}")
         if not collect and stream_csv is None:
             raise ValueError("collect=False requires stream_csv")
-        if max_cells is not None and max_cells < 0:
-            raise ValueError("max_cells must be >= 0")
         if partition not in ("hash", "lpt"):
             raise ValueError(
                 f"partition must be 'hash' or 'lpt', got {partition!r}"
             )
-        if checkpoint is not None:
-            if checkpoint_every < 1:
-                raise ValueError("checkpoint requires checkpoint_every >= 1")
-            if not collect:
-                raise ValueError("checkpoint requires collect=True")
         if isinstance(store, ResultStore):
             store_obj: ResultStore | None = store
         elif store is not None:
@@ -2132,56 +2035,7 @@ ProcessPoolExecutor` to run chain chunks on instead of creating (and
                 partition=partition, cost_manifest=cost_manifest,
             )
         spec_dict = self.spec.to_dict()
-        n_steps = len(self.spec.sweep_values())
         t0 = time.perf_counter()
-
-        reused: list[dict] = []
-        if resume_from is not None:
-            # Cell identities are (params, seed, method) -- meaningful only
-            # when the results came from the same generator and campaign
-            # seed; grid/replicate extensions are fine (extra chains just
-            # find no match), but a different generator or master seed
-            # would silently reuse wrong systems.
-            for field_name in ("generator", "seed", "base", "warm_start"):
-                ours = spec_dict.get(field_name)
-                theirs = resume_from.spec.get(field_name)
-                if theirs != ours:
-                    raise ValueError(
-                        f"resume_from was produced with {field_name}="
-                        f"{theirs!r}, campaign uses {ours!r}"
-                    )
-            index = {
-                _cell_identity(c.params, c.seed, c.method): c
-                for c in resume_from.cells
-            }
-            monotone = {
-                name: resolve_method(name).verdict_monotone
-                for name in self.spec.methods
-            }
-            pending: list[dict] = []
-            for chain in chains:
-                cells, steps = self._chain_prefix_from(chain, index)
-                if steps == n_steps:
-                    reused.extend(cells)
-                    continue
-                if steps:
-                    reused.extend(cells)
-                    resumed = {**chain, "resume_step": steps}
-                    # A miss already recorded for a verdict-monotone method
-                    # decides every remaining level of its chain: the
-                    # runner then infers the suffix instead of probing it.
-                    flags = {
-                        self.spec.methods[item["order"][2]]: True
-                        for item in cells
-                        if monotone[self.spec.methods[item["order"][2]]]
-                        and not item["cell"]["schedulable"]
-                    }
-                    if flags:
-                        resumed["resume_unsched"] = flags
-                    pending.append(resumed)
-                else:
-                    pending.append(chain)
-            chains = pending
 
         stream = (
             _CellCsvStream(stream_csv, self.spec)
@@ -2197,88 +2051,43 @@ ProcessPoolExecutor` to run chain chunks on instead of creating (and
         tagged: list[dict] = []
         streamed = 0
         consumed = 0
-        truncated = False
         reseed_solves = 0
         reseed_evaluations = 0
         store_hits = 0
         store_misses = 0
 
-        def snapshot_result(*, final: bool) -> CampaignResult:
-            """The result as of now; checkpoints are truncated views."""
-            items = sorted(tagged, key=lambda item: item["order"])
-            return CampaignResult(
-                spec=spec_dict,
-                cells=[CellResult.from_dict(item["cell"]) for item in items],
-                workers=workers,
-                wall_time_s=time.perf_counter() - t0,
-                streamed_cells=streamed,
-                reused_cells=kept_reused,
-                shard=list(shard) if shard is not None else None,
-                reseed_solves=reseed_solves,
-                reseed_evaluations=reseed_evaluations,
-                store_hits=store_hits,
-                store_misses=store_misses,
-                truncated=truncated if final else True,
-                chain_costs=_tagged_chain_costs(items),
-            )
-
-        last_checkpoint = 0
-        kept_reused = 0
-
-        def consume(part: list[dict], *, reused_batch: bool = False) -> bool:
-            """Account a batch of finished cells; False once the budget
-            set by ``max_cells`` is exhausted."""
-            nonlocal streamed, consumed, truncated, last_checkpoint
-            nonlocal kept_reused
+        def consume(part: dict) -> None:
+            """Account one chain's (or chunk's) finished cells."""
+            nonlocal streamed, consumed, reseed_solves, reseed_evaluations
+            nonlocal store_hits, store_misses
+            reseed_solves += part["reseed_solves"]
+            reseed_evaluations += part["reseed_evaluations"]
+            store_hits += part["store_hits"]
+            store_misses += part["store_misses"]
+            cells = part["cells"]
             if worker_faults is not None:
                 # Injected cell faults land on exact cell boundaries, not
                 # wherever a chain/chunk batch edge happens to fall.
-                part = worker_faults.clip(part, consumed)
-            if max_cells is not None and consumed + len(part) > max_cells:
-                part = part[: max(0, max_cells - consumed)]
-                truncated = True
-            consumed += len(part)
-            if reused_batch:
-                # Recorded before any checkpoint write below, so a
-                # checkpointed partial reports its reused cells too.
-                kept_reused = consumed
+                cells = worker_faults.clip(cells, consumed)
+            consumed += len(cells)
             if stream is not None:
-                stream.write(part)
-                streamed += len(part)
+                stream.write(cells)
+                streamed += len(cells)
             if collect:
-                tagged.extend(part)
-            if (
-                checkpoint is not None
-                and consumed - last_checkpoint >= checkpoint_every
-            ):
-                snapshot_result(final=False).save_json(checkpoint)
-                last_checkpoint = consumed
+                tagged.extend(cells)
             if beat is not None:
                 beat.bump(consumed)
             if worker_faults is not None:
-                # After the checkpoint/heartbeat so the injected crash
-                # leaves exactly the on-disk state a real one would.
+                # After the heartbeat so the injected crash leaves exactly
+                # the on-disk state a real one would.
                 worker_faults.fire(consumed, beat)
-            return not truncated
 
         try:
             if beat is not None:
                 beat.start()
-            budget_ok = True
-            if reused:
-                # consume() records kept_reused (max_cells may cut the batch).
-                budget_ok = consume(reused, reused_batch=True)
-            if not chains or not budget_ok:
-                pass
-            elif workers == 1 or len(chains) <= 1:
+            if workers == 1 or len(chains) <= 1:
                 for chain in chains:
-                    chain_out = _run_chain(self.spec, chain, store_obj)
-                    reseed_solves += chain_out["reseed_solves"]
-                    reseed_evaluations += chain_out["reseed_evaluations"]
-                    store_hits += chain_out["store_hits"]
-                    store_misses += chain_out["store_misses"]
-                    if not consume(chain_out["cells"]):
-                        break
+                    consume(_run_chain(self.spec, chain, store_obj))
             else:
                 if chunk_size is None:
                     chunk_size = max(1, math.ceil(len(chains) / (workers * 4)))
@@ -2293,30 +2102,20 @@ ProcessPoolExecutor` to run chain chunks on instead of creating (and
                 )
                 futures: list = []
                 try:
-                    # Explicit submit/result (in submission order, same as
-                    # pool.map) so an exhausted max_cells budget can cancel
-                    # the chunks that have not started instead of silently
-                    # running the rest of the campaign to discard it.
                     futures = [
                         pool.submit(_run_chunk, (spec_dict, chunk, store_root))
                         for chunk in chunks
                     ]
                     for future in futures:
-                        part = future.result()
-                        reseed_solves += part["reseed_solves"]
-                        reseed_evaluations += part["reseed_evaluations"]
-                        store_hits += part["store_hits"]
-                        store_misses += part["store_misses"]
-                        if not consume(part["cells"]):
-                            break
+                        consume(future.result())
                 finally:
                     if executor is None:
                         pool.shutdown(wait=True, cancel_futures=True)
                     else:
                         # A borrowed executor must survive the call;
-                        # cancel what never started so an early exit
-                        # (max_cells) does not leave queued chunks
-                        # burning pool slots behind our back.
+                        # cancel what never started so a failed chunk
+                        # does not leave queued chunks burning pool slots
+                        # behind our back.
                         for future in futures:
                             future.cancel()
         finally:
@@ -2325,7 +2124,20 @@ ProcessPoolExecutor` to run chain chunks on instead of creating (and
             if beat is not None:
                 beat.stop()
 
-        return snapshot_result(final=True)
+        items = sorted(tagged, key=lambda item: item["order"])
+        return CampaignResult(
+            spec=spec_dict,
+            cells=[CellResult.from_dict(item["cell"]) for item in items],
+            workers=workers,
+            wall_time_s=time.perf_counter() - t0,
+            streamed_cells=streamed,
+            shard=list(shard) if shard is not None else None,
+            reseed_solves=reseed_solves,
+            reseed_evaluations=reseed_evaluations,
+            store_hits=store_hits,
+            store_misses=store_misses,
+            chain_costs=_tagged_chain_costs(items),
+        )
 
 
 def run_campaign(

@@ -1,9 +1,8 @@
 """Campaign dispatcher: drive a sharded campaign to completion unattended.
 
-PR 3/4 made the chain the unit of distributed work (``--shard k/n``
-partitions, chain-prefix ``--resume``, ``campaign-merge``) but left the
-driving to a human.  This module closes the loop with a
-:class:`CampaignDispatcher` that
+The chain is the unit of distributed work (``--shard k/n`` partitions,
+``--chains`` subsets, ``campaign-merge``).  This module drives a sharded
+campaign unattended with a :class:`CampaignDispatcher` that
 
 * **over-partitions** the spec into more shards than worker slots and
   feeds them from a shared queue, so fast workers *steal* the long tail
@@ -14,13 +13,15 @@ driving to a human.  This module closes the loop with a
   recorded by a previous run (``chain_costs`` in every campaign result
   JSON) drive a longest-processing-time assignment, with the ``levels x
   n_tasks`` size proxy as the manifest-free fallback;
-* is **fault-tolerant**: every shard subprocess checkpoints its partial
-  result (atomic write-then-rename), and a dead, killed or truncated
-  shard is relaunched with ``--resume`` pointing at its partial output
-  -- chain-prefix resume makes the retried shard bit-identical to an
-  uninterrupted one.  Relaunches wait out a deterministic exponential
-  backoff (seeded jitter, so a drill replays exactly), and every shard
-  can carry a wall-clock budget derived from the cost manifest
+* is **fault-tolerant**: a dead, killed or incomplete shard is
+  relaunched with the same command.  With a result store (``store=``,
+  CLI ``--store``) every shard writes each cell to it as the cell is
+  solved, so the relaunch serves every cell an earlier attempt solved
+  and solves only the rest; without one the relaunch solves the shard
+  again.  Either way the retried shard's cells equal an uninterrupted
+  one's.  Relaunches wait out a deterministic exponential backoff
+  (seeded jitter, so a drill replays exactly), and every shard can
+  carry a wall-clock budget derived from the cost manifest
   (``timeout_factor x predicted + timeout_floor``) or a flat
   ``shard_timeout``;
 * watches **heartbeats**: every shard subprocess publishes an atomic
@@ -29,16 +30,17 @@ driving to a human.  This module closes the loop with a
   slot as *progressing* (counter advanced recently), *stalled* (beats
   arrive but the counter froze for ``stall_after`` seconds -- the
   process is alive but wedged), or *dead* (no beats at all).  Stalled
-  and dead shards are killed and relaunched from their checkpoint;
-  healthy-but-slow shards keep beating through long solves and are
-  never shot;
+  and dead shards are killed and relaunched; healthy-but-slow shards
+  keep beating through long solves and are never shot;
 * **splits stragglers elastically**: when the queue has drained, slots
   sit idle and one shard has held its slot past ``split_after``
   seconds, its chains are re-partitioned by *remaining* cost into
-  sub-shards (``--chains i,j,k`` subsets resumed from the straggler's
-  checkpoint), so idle slots eat the critical path.  The partition is
-  chain-granular, so the merged union stays bit-identical to the
-  single-process run;
+  sub-shards (``--chains i,j,k`` subsets), so idle slots eat the
+  critical path.  The census of what remains asks the result store
+  which of the straggler's cells it holds (without a store every chain
+  counts as unfinished), and the sub-shards serve those cells from it.
+  The partition is chain-granular, so the merged union stays
+  bit-identical to the single-process run;
 * **auto-merges** shard results *as they complete* through
   :class:`repro.batch.campaign.StreamingMerger` -- each shard JSON is
   folded into the accumulating union and dropped, so dispatched peak
@@ -47,18 +49,19 @@ driving to a human.  This module closes the loop with a
   :class:`CampaignResult` that is bit-identical to a single-process run
   of the same spec;
 * optionally threads a **content-addressed result store** (``store=``,
-  CLI ``--store``) through to every shard subprocess, so overlapping or
-  repeated campaigns skip cells the store already holds;
+  CLI ``--store``) through to every shard subprocess, so relaunched and
+  split shards, and overlapping or repeated campaigns, skip cells the
+  store already holds;
 * shuts down **gracefully**: a ``KeyboardInterrupt`` (SIGINT, or the
   CLI's SIGTERM trap) terminates every child, saves the merged union so
   far to ``work_dir/partial.json`` and raises
-  :class:`DispatchInterrupted` -- the work dir stays resumable and no
-  subprocess is orphaned.
+  :class:`DispatchInterrupted` -- no subprocess is orphaned, and a
+  re-dispatch against the same store serves every cell already solved.
 
-Every read of a file a child writes (heartbeat, checkpoint, shard
-result) is crash-consistent: truncated or corrupt JSON is treated as
-absent, matching the result store's damaged-file-as-miss rule -- a torn
-file costs a relaunch, never a traceback.
+Every read of a file a child writes (heartbeat, shard result) is
+crash-consistent: truncated or corrupt JSON is treated as absent,
+matching the result store's damaged-file-as-miss rule -- a torn file
+costs a relaunch, never a traceback.
 
 Recovery paths are drilled, not hoped for: a
 :class:`repro.batch.faults.FaultPlan` handed to the dispatcher delivers
@@ -68,8 +71,8 @@ output, exit nonzero) to chosen shard attempts through the
 
 Every shard attempt is one ``python -m repro campaign --spec ...
 --shard i/n`` command line, built whole by the dispatcher (callers add
-no flags, so every shard collects and checkpoints its cells) and
-launched through a pluggable *backend*.
+no flags, so every shard collects its cells) and launched through a
+pluggable *backend*.
 :class:`LocalBackend` (the local host, the tested default) runs it in a
 child forked from one warm per-dispatch zygote
 (:mod:`repro.batch.zygote`), so a shard skips interpreter start-up and
@@ -84,8 +87,8 @@ pluggable *transport* (:mod:`repro.batch.transport`):
 :class:`~repro.batch.transport.SharedDirTransport` keeps the shared-
 filesystem behavior (worker paths are dispatcher paths), while
 :class:`~repro.batch.transport.CopyBackTransport` gives every host its
-own work dir -- inputs staged out before each launch, shard results,
-checkpoints and heartbeats pulled back on each poll, every transfer
+own work dir -- inputs staged out before each launch, shard results
+and heartbeats pulled back on each poll, every transfer
 timeout-bounded, retried with seeded backoff, digest-verified and landed
 atomically.  On top of the transport sit **host-level failure domains**:
 a :class:`HostHealth` tracker scores each host from its shard outcomes
@@ -120,9 +123,11 @@ from repro.batch.campaign import (
     CampaignSpec,
     StreamingMerger,
     chain_cost_estimates,
+    chain_store_digests,
     partition_chains,
 )
 from repro.batch.faults import FAULT_ENV, FaultPlan
+from repro.batch.store import ResultStore
 from repro.batch.transport import CopyBackTransport, SharedDirTransport
 from repro.batch.zygote import ForkedShard, Zygote
 
@@ -146,9 +151,9 @@ class DispatchError(RuntimeError):
 class DispatchInterrupted(DispatchError):
     """The dispatch was interrupted (SIGINT/SIGTERM) and shut down cleanly.
 
-    Every child was terminated, the merged union so far was saved to
-    ``work_dir/partial.json``, and the work dir is a valid resume target
-    for a fresh dispatch of the same spec.
+    Every child was terminated and the merged union so far was saved to
+    ``work_dir/partial.json``.  With a result store, a fresh dispatch of
+    the same spec against it serves every cell already solved.
     """
 
 
@@ -164,8 +169,6 @@ class ShardRecord:
     #: Estimated cost the partition balanced on (seconds or proxy units).
     estimated_cost: float
     attempts: int = 0
-    #: Relaunches that passed ``--resume`` at a partial output.
-    resumed_attempts: int = 0
     #: Worker slot that completed the shard.
     slot: int | None = None
     cells: int = 0
@@ -185,7 +188,7 @@ class ShardRecord:
     attempt_outcomes: list[str] = field(default_factory=list)
     #: Host each attempt ran on (parallel to ``attempt_outcomes``).
     attempt_hosts: list[str] = field(default_factory=list)
-    #: Failed transfers (staging, result/checkpoint/heartbeat pulls)
+    #: Failed transfers (staging, result/heartbeat pulls)
     #: observed while this shard held a slot.
     transport_failures: int = 0
     #: Attempts that *failed* -- evictions and splits are excluded, so a
@@ -193,9 +196,6 @@ class ShardRecord:
     failed_attempts: int = 0
     #: Backoff delays inserted before relaunches of this shard.
     backoff_s: list[float] = field(default_factory=list)
-    #: Best partial to resume from when this record was born by a split
-    #: (the parent file its chain-progress census was read from).
-    resume_hint: Path | None = None
 
 
 @dataclass
@@ -596,7 +596,7 @@ class CampaignDispatcher:
         hosts derive the identical disjoint partition.
     work_dir:
         Directory for the spec file, cost manifest, shard JSONs,
-        checkpoints, heartbeats and per-shard logs.
+        heartbeats and per-shard logs.
     backend:
         :class:`LocalBackend` (default) or :class:`SshBackend`-shaped
         object with the same ``launch`` signature.
@@ -615,13 +615,11 @@ class CampaignDispatcher:
         Upper bound of the adaptive wait between liveness checks.
         Defaults to the effective heartbeat interval, so liveness
         observations are never starved by a long wait.
-    checkpoint_every:
-        Cells between the shard subprocesses' checkpoint writes.
     stall_after:
         Liveness window in seconds (``None`` disables liveness kills).
         A shard whose heartbeat *counter* has not advanced within the
         window is *stalled* if beats still arrive, *dead* if they do
-        not; both are killed and relaunched from their checkpoint.
+        not; both are killed and relaunched.
         Healthy shards beat through long solves, so slow is never
         conflated with wedged.
     heartbeat_interval:
@@ -647,11 +645,11 @@ class CampaignDispatcher:
     split_after:
         Straggler threshold in seconds (``None`` disables splitting).
         When the queue is empty, at least one slot is idle and a shard
-        with >= 2 unfinished chains has held its slot this long, the
-        shard is killed and its chains re-partitioned by *remaining*
-        cost into sub-shards resumed from its checkpoint -- the merged
-        union stays bit-identical because the partition is
-        chain-granular.
+        with >= 2 unfinished chains (chains whose cells the store does
+        not all hold; every chain without a store) has held its slot
+        this long, the shard is killed and its chains re-partitioned by
+        *remaining* cost into sub-shards -- the merged union stays
+        bit-identical because the partition is chain-granular.
     faults:
         A :class:`repro.batch.faults.FaultPlan` delivered to matching
         shard attempts through the environment (kill/hang/heartbeat-drop/
@@ -660,8 +658,10 @@ class CampaignDispatcher:
         Root directory of a content-addressed result store
         (:class:`repro.batch.store.ResultStore`) passed to every shard
         via ``--store``; shards then serve already-solved cells from it
-        and write fresh solves back.  Must be shared storage when the
-        backend spans hosts.
+        and write fresh solves back as they finish, which is what a
+        relaunched or split shard recovers its predecessor's work
+        from.  ``None`` (default) keeps no cells between attempts.
+        Must be shared storage when the backend spans hosts.
     transport:
         File movement between the dispatcher and its workers:
         :class:`~repro.batch.transport.SharedDirTransport` (default,
@@ -695,7 +695,6 @@ class CampaignDispatcher:
         max_attempts: int = 3,
         poll_interval: float = 0.05,
         poll_max: float | None = None,
-        checkpoint_every: int = 16,
         stall_after: float | None = None,
         heartbeat_interval: float = 1.0,
         shard_timeout: float | None = None,
@@ -716,8 +715,6 @@ class CampaignDispatcher:
             raise ValueError("workers must be >= 1")
         if max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
-        if checkpoint_every < 1:
-            raise ValueError("checkpoint_every must be >= 1")
         if stall_after is not None and stall_after <= 0:
             raise ValueError("stall_after must be > 0 (or None)")
         if heartbeat_interval <= 0:
@@ -745,7 +742,6 @@ class CampaignDispatcher:
         self.backend = backend if backend is not None else LocalBackend()
         self.max_attempts = max_attempts
         self.poll_interval = poll_interval
-        self.checkpoint_every = checkpoint_every
         self.stall_after = stall_after
         # A liveness window needs several beats inside it, or a healthy
         # shard's own cadence could read as silence.
@@ -768,6 +764,8 @@ class CampaignDispatcher:
         self.split_after = split_after
         self.faults = faults
         self.store = Path(store) if store is not None else None
+        #: Chain index -> its cells' store digests (see _stored_cells).
+        self._chain_digests: dict[int, list[str]] = {}
         self.transport = (
             transport
             if transport is not None
@@ -809,9 +807,6 @@ class CampaignDispatcher:
 
     def _out_path(self, shard: int) -> Path:
         return self.work_dir / f"shard{shard:04d}.json"
-
-    def _checkpoint_path(self, shard: int) -> Path:
-        return self.work_dir / f"shard{shard:04d}.part.json"
 
     def _heartbeat_path(self, shard: int) -> Path:
         return self.work_dir / f"shard{shard:04d}.hb.json"
@@ -873,8 +868,6 @@ class CampaignDispatcher:
         argv += [
             "--workers", "1",
             "--json", wp(self._out_path(record.shard)),
-            "--checkpoint", wp(self._checkpoint_path(record.shard)),
-            "--checkpoint-every", str(self.checkpoint_every),
             "--heartbeat", wp(self._heartbeat_path(record.shard)),
             "--heartbeat-interval", f"{self.heartbeat_interval:g}",
         ]
@@ -882,10 +875,6 @@ class CampaignDispatcher:
             argv += ["--cost-manifest", wp(self._manifest_path())]
         if self.store is not None:
             argv += ["--store", str(self.store)]
-        resume = self._resume_source(record)
-        if resume is not None:
-            argv += ["--resume", wp(resume)]
-            record.resumed_attempts += 1
         return argv
 
     # -- crash-consistent reads --------------------------------------------
@@ -913,87 +902,15 @@ class CampaignDispatcher:
         except (KeyError, TypeError, ValueError):
             return None
 
-    # -- ownership ---------------------------------------------------------
-
-    def _is_ours(self, result: CampaignResult, shard: int) -> bool:
-        """Whether a loaded partial/final result belongs to this dispatch.
-
-        A reused work dir may hold shard JSONs and checkpoints left
-        behind by a previous dispatch of a *different* spec (or shard
-        count).  Feeding one of those to ``--resume`` wedges the shard:
-        the child rejects the spec mismatch with exit 2 on every
-        attempt, so the dispatcher would burn ``max_attempts`` relaunches
-        on a file it should simply ignore.  Ours means: the exact spec
-        dict of this dispatch, and either this shard's ``k/n``
-        designator or no designator at all (an unsharded partial of the
-        same spec is a valid ``--resume`` input -- chain-prefix resume
-        matches cells by identity, not by shard).
-        """
-        return result.spec == self._spec_dict and (
-            result.shard is None or result.shard == [shard, self.shards]
-        )
-
-    def _resume_source(self, record: ShardRecord | int) -> Path | None:
-        """The best partial output a relaunch can resume from.
-
-        Both the final output (a truncated run wrote one) and the
-        periodic checkpoint are written atomically, so a loadable
-        candidate is structurally valid -- but it must also be *ours*
-        (see :meth:`_is_ours`): foreign/stale files from a previous
-        dispatch into the same work dir are skipped, not resumed from.
-        Of the accepted candidates the one holding *more cells* wins:
-        after a truncated attempt 1 and a killed attempt 2, the
-        attempt-2 checkpoint supersedes the stale attempt-1 output, so
-        repeated kills never re-run recovered work.
-
-        An elastic sub-shard additionally considers its parent's files
-        (the straggler partial it was split from): chain-prefix resume
-        reuses the parent's completed chains wholesale and re-runs the
-        rest, which is what keeps a split bit-identical.
-        """
-        if isinstance(record, ShardRecord):
-            sid, parent = record.shard, record.parent
-            hint = record.resume_hint
-        else:
-            sid, parent, hint = record, None, None
-        candidates = [self._out_path(sid), self._checkpoint_path(sid)]
-        if parent is not None:
-            candidates += [
-                self._out_path(parent), self._checkpoint_path(parent),
-            ]
-        if hint is not None:
-            candidates.append(hint)
-        allowed = {None, (sid, self.shards)}
-        if parent is not None:
-            allowed.add((parent, self.shards))
-        best: Path | None = None
-        best_cells = -1
-        seen: set[Path] = set()
-        for path in candidates:
-            if path in seen:
-                continue
-            seen.add(path)
-            result = self._load_result(path)
-            if result is None or result.spec != self._spec_dict:
-                continue
-            designator = (
-                tuple(result.shard) if result.shard is not None else None
-            )
-            if designator not in allowed:
-                continue
-            if len(result.cells) > best_cells:
-                best, best_cells = path, len(result.cells)
-        return best
-
     def _shard_complete(self, record: ShardRecord) -> CampaignResult | None:
         """The shard's final result, or ``None`` when it must relaunch.
 
         A stale-but-complete output of a *foreign* spec (a reused work
-        dir) must never be accepted as this run's result, so the same
-        ownership check as :meth:`_resume_source` applies -- with the
-        shard designator required exactly: planned shards run with
-        ``--shard`` and must carry their ``k/n``, elastic sub-shards run
-        with ``--chains`` and must carry none.
+        dir) must never be accepted as this run's result: the file must
+        carry this dispatch's exact spec dict and the shard designator
+        its command asked for -- planned shards run with ``--shard`` and
+        must carry their ``k/n``, elastic sub-shards run with
+        ``--chains`` and must carry none.
         """
         result = self._load_result(self._out_path(record.shard))
         if result is None:
@@ -1070,28 +987,29 @@ class CampaignDispatcher:
         jitter = rng.random() * self.backoff_base
         return min(self.backoff_max, raw + jitter)
 
-    def _chain_progress(
-        self, result: CampaignResult | None, record: ShardRecord
+    def _stored_cells(
+        self, record: ShardRecord, chain_plan: dict[int, dict]
     ) -> dict[int, int]:
-        """Completed-cell count per chain index of *record* in *result*.
+        """Cells of each chain of *record* the result store holds.
 
-        Chains are identified by their (seed, replicate) pair -- every
-        cell of a chain carries the chain's seed, and the plan spawns a
-        distinct seed per (point, replicate).
+        A membership query over the chain's store keys (the walk of
+        :func:`~repro.batch.campaign.chain_store_digests`); a chain
+        whose cells are all stored is finished, and a relaunch serves
+        those cells.  Without a store nothing survives an attempt, so
+        the census is empty and every chain counts as unfinished.
         """
-        if result is None:
+        if self.store is None:
             return {}
-        wanted = set(record.chain_indices)
-        by_key = {
-            (c["seed"], c["replicate"]): c["index"]
-            for c in self.spec.chains()
-            if c["index"] in wanted
-        }
+        store = ResultStore(self.store)
         counts: dict[int, int] = {}
-        for cell in result.cells:
-            idx = by_key.get((cell.seed, cell.replicate))
-            if idx is not None:
-                counts[idx] = counts.get(idx, 0) + 1
+        for i in record.chain_indices:
+            # The keys are a pure function of the spec: walk each chain
+            # once per dispatch, however often the census runs.
+            if i not in self._chain_digests:
+                self._chain_digests[i] = chain_store_digests(
+                    self.spec, chain_plan[i]
+                )
+            counts[i] = sum(store.has(d) for d in self._chain_digests[i])
         return counts
 
     def _designator(self, record: ShardRecord) -> str:
@@ -1223,10 +1141,6 @@ class CampaignDispatcher:
                 staged = self.transport.stage_out(
                     host, self._manifest_path().name
                 )
-            if staged:
-                resume = self._resume_source(record)
-                if resume is not None:
-                    staged = self.transport.stage_out(host, resume.name)
             if not staged:
                 record.transport_failures += 1
                 finish_attempt(
@@ -1281,24 +1195,9 @@ class CampaignDispatcher:
                 key=lambda a: (a.record.estimated_cost, -a.record.shard),
             )
             record = active.record
-            # Census the straggler's progress *before* killing it; both
-            # candidate files are atomic, so a live child cannot tear
-            # them under the read.  On a copy-back transport the freshest
-            # checkpoint lives on the straggler's host -- pull it home
-            # first (a failed pull degrades the census to stale/absent,
-            # which only costs re-run work, never correctness).
-            split_host = self._slot_host[active.slot]
-            for name in (
-                self._out_path(record.shard).name,
-                self._checkpoint_path(record.shard).name,
-            ):
-                if not self.transport.pull(split_host, name):
-                    record.transport_failures += 1
-            source = self._resume_source(record)
-            partial = (
-                self._load_result(source) if source is not None else None
-            )
-            done = self._chain_progress(partial, record)
+            # Census the straggler's progress *before* killing it: the
+            # store holds every cell it has solved so far.
+            done = self._stored_cells(record, chain_plan)
             unfinished = [
                 i for i in record.chain_indices
                 if done.get(i, 0) < n_cells
@@ -1313,8 +1212,8 @@ class CampaignDispatcher:
             active.release()
             finish_attempt(active.record, "split", now - active.started)
             # Re-partition *all* assigned chains by remaining cost
-            # (completed chains weigh ~0 and resume wholesale), LPT onto
-            # the idle slots plus the one just freed.
+            # (completed chains weigh ~0 and are served from the store),
+            # LPT onto the idle slots plus the one just freed.
             costs = chain_cost_estimates(
                 self.spec,
                 [chain_plan[i] for i in record.chain_indices],
@@ -1343,7 +1242,6 @@ class CampaignDispatcher:
                     estimated_cost=sum(remaining[i] for i in sub),
                     chain_indices=sorted(sub),
                     parent=record.shard,
-                    resume_hint=source,
                 )
                 next_sub += 1
                 records.append(sub_record)
@@ -1435,11 +1333,10 @@ class CampaignDispatcher:
                     del running[slot]
                     active.release()
                     events = True
-                    # Bring the worker's outputs home before judging the
+                    # Bring the worker's output home before judging the
                     # attempt (no-op on a shared dir).  A failed result
                     # pull turns an apparent success into a ``transport``
-                    # attempt; a failed checkpoint pull only costs the
-                    # relaunch a staler resume point.
+                    # attempt.
                     if not self.transport.pull(
                         host, self._out_path(record.shard).name
                     ):
@@ -1462,16 +1359,7 @@ class CampaignDispatcher:
                             shards_per_slot.get(slot, 0) + 1
                         )
                         self.host_health.record_success(host)
-                        self.transport.remove(
-                            host, self._checkpoint_path(record.shard).name
-                        )
                         continue
-                    if not self.transport.pull(
-                        host, self._checkpoint_path(record.shard).name
-                    ):
-                        record.transport_failures += 1
-                        if outcome is None:
-                            outcome = "transport"
                     outcome = outcome or "failed"
                     finish_attempt(record, outcome, now - active.started)
                     if outcome in ("dead", "stalled", "timeout", "transport"):
@@ -1510,8 +1398,13 @@ class CampaignDispatcher:
                     if partial_path is not None
                     else ""
                 )
-                + f"work dir {self.work_dir} is resumable by re-dispatching "
-                "the same spec into it"
+                + (
+                    f"result store {self.store} holds every solved cell: "
+                    "re-dispatch the same spec with it to serve them"
+                    if self.store is not None
+                    else "no result store was given, so a re-dispatch "
+                    "solves every cell again"
+                )
             ) from interrupted
 
         # The merger was seeded with this dispatch's spec, so even a run
@@ -1540,7 +1433,7 @@ class CampaignDispatcher:
         """Terminate-then-kill every child; never leave an orphan behind.
 
         SIGTERM first so children die promptly but cleanly (they hold no
-        state needing flushing -- checkpoints are atomic), escalating to
+        state needing flushing -- store entries are atomic), escalating to
         SIGKILL for anything that lingers past a short grace period.
         """
         for active in running.values():

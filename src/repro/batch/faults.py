@@ -1,9 +1,9 @@
 """Deterministic fault injection for dispatched campaign workers.
 
-The dispatcher's recovery paths (relaunch-from-checkpoint, heartbeat
-liveness kills, straggler splitting) are only trustworthy if every one of
-them is driven by a *deterministic* test rather than hope.  This module
-is that harness:
+The dispatcher's recovery paths (relaunch against the result store,
+heartbeat liveness kills, straggler splitting) are only trustworthy if
+every one of them is driven by a *deterministic* test rather than hope.
+This module is that harness:
 
 * :class:`FaultPlan` is a declarative list of :class:`Fault` entries --
   "kill shard 2 after 5 cells on attempt 1", "hang shard 0 forever",

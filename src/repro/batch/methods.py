@@ -287,11 +287,12 @@ def reseed_jitters(
 ) -> dict[tuple[int, int], float] | None:
     """Recover the warm-start jitter vector of *system* under method *name*.
 
-    The chain-prefix resume machinery calls this for the last *completed*
-    sweep level of a partial chain: the converged jitters are the least
-    fixed point of that level's outer iteration, which is independent of
-    the starting vector, so a cold re-solve reproduces exactly the jitters
-    the original (possibly warm-started) run handed to the next level.
+    The chain runners call this for a sweep level served from the result
+    store whose successor must be solved: the converged jitters are the
+    least fixed point of that level's outer iteration, which is
+    independent of the starting vector, so a cold re-solve reproduces
+    exactly the jitters the original (possibly warm-started) run handed
+    to the next level.
     Returns ``None`` for methods without warm-start support, or when the
     re-solve did not converge to a finite jitter vector (matching what the
     original run would have chained).

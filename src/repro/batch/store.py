@@ -127,8 +127,16 @@ class ResultStore:
         self.root = Path(root)
 
     def _path(self, key: StoreKey) -> Path:
-        digest = key.digest()
+        return self._digest_path(key.digest())
+
+    def _digest_path(self, digest: str) -> Path:
         return self.root / digest[:2] / f"{digest}.json"
+
+    def has(self, digest: str) -> bool:
+        """Whether an entry file exists under *digest* (see
+        :meth:`StoreKey.digest`).  A membership query only: the entry is
+        not read, so a damaged one still counts until ``get`` misses."""
+        return self._digest_path(digest).exists()
 
     def get(self, key: StoreKey) -> dict[str, Any] | None:
         """The stored value for *key*, or ``None`` on any kind of miss."""

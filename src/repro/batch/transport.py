@@ -1,17 +1,18 @@
 """File movement between the dispatcher and per-host worker work dirs.
 
 PR 7's dispatcher assumed one shared filesystem: workers write shard
-results, checkpoints, and heartbeats straight into the dispatcher's work
-dir.  That holds for :class:`~repro.batch.dispatch.LocalBackend` and for
-NFS-backed ssh fleets, but not for real multi-host deployments.  This
-module is the seam:
+results and heartbeats straight into the dispatcher's work dir.  That
+holds for :class:`~repro.batch.dispatch.LocalBackend` and for NFS-backed
+ssh fleets, but not for real multi-host deployments.  This module is
+the seam:
 
 * :class:`SharedDirTransport` keeps today's zero-copy behavior -- worker
   paths *are* dispatcher paths, staging and pulling are no-ops.
 * :class:`CopyBackTransport` gives every host its own work dir.  The
-  dispatcher stages inputs (spec, cost manifest, resume sources) out
-  before each launch and pulls outputs (shard JSONs, checkpoints,
-  heartbeat files) back on each poll.
+  dispatcher stages inputs (spec, cost manifest) out before each launch
+  and pulls outputs (shard JSONs, heartbeat files) back on each poll.
+  The result store is not a work-dir file: it is shared storage every
+  host reaches by its own path.
 
 Every ``CopyBackTransport`` transfer carries the full PR 7
 crash-consistency contract:
@@ -344,8 +345,8 @@ class CopyBackTransport:
         """Copy ``work_dir/name`` out to *host*; ``False`` on failure.
 
         A repeat push of unchanged bytes is skipped (the spec is staged
-        once per host, not once per shard attempt); a changed source --
-        a fresher resume checkpoint -- is re-pushed.
+        once per host, not once per shard attempt); a changed source is
+        re-pushed.
         """
         src = self.work_dir / name
         dst = self.worker_path(host, name)

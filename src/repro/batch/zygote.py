@@ -137,7 +137,7 @@ def _run_shard(request: dict, conn: Connection) -> int:
 
     The child then leaves through ``os._exit``: interpreter teardown
     costs more than a small shard's work, and a shard leaves nothing but
-    stdio for it to flush (results and checkpoints land atomically).
+    stdio for it to flush (results and store entries land atomically).
     """
     signal.signal(signal.SIGINT, signal.default_int_handler)
     conn.close()

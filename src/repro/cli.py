@@ -168,10 +168,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="write the per-cell table as CSV")
     p_cp.add_argument("--acceptance-csv", metavar="PATH",
                       help="write the aggregated acceptance table as CSV")
-    p_cp.add_argument("--resume", metavar="PATH",
-                      help="load a partial results JSON; completed chains "
-                      "(matched by cell seed + parameter point) are reused "
-                      "and new cells merged in")
     p_cp.add_argument("--stream-csv", metavar="PATH",
                       help="append each finished cell to this CSV as it "
                       "completes (bounded-memory export for huge sweeps)")
@@ -197,23 +193,13 @@ def build_parser() -> argparse.ArgumentParser:
                       "seconds) or a bare {chain index: seconds} mapping; "
                       "omitted, lpt falls back to the levels x tasks "
                       "size proxy")
-    p_cp.add_argument("--max-cells", type=int, default=None,
-                      help="stop after this many cells and return the "
-                      "truncated partial result (deterministic simulated "
-                      "kill; resume later with --resume)")
-    p_cp.add_argument("--checkpoint", metavar="PATH",
-                      help="atomically rewrite a partial result JSON here "
-                      "as cells complete, so a killed run leaves a valid "
-                      "--resume input behind")
-    p_cp.add_argument("--checkpoint-every", type=int, default=16,
-                      metavar="N",
-                      help="cells between --checkpoint writes (default 16)")
     p_cp.add_argument("--store", metavar="DIR",
                       help="content-addressed result store: cells whose "
                       "(system, execution context, level, method) was "
                       "solved by any previous run sharing DIR are served "
                       "from disk (bit-identical to solving them), fresh "
-                      "solves are written back")
+                      "solves are written back as they finish -- rerun a "
+                      "killed campaign with the same DIR to recover it")
     p_cp.add_argument("--chains", metavar="I,J,...",
                       help="run only the chains with these plan indices "
                       "(the dispatcher's elastic-split primitive; any "
@@ -234,9 +220,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="drive a sharded campaign to completion and auto-merge",
         description="Over-partition the campaign into fine shards, run "
         "them on a pool of worker subprocesses fed from a shared queue "
-        "(fast workers steal the long tail), relaunch dead or truncated "
-        "shards with --resume at their partial output, and auto-merge "
-        "the union -- bit-identical to a single-process run.",
+        "(fast workers steal the long tail), relaunch dead shards (with "
+        "--store, a relaunch serves every cell an earlier attempt "
+        "solved), and auto-merge the union -- bit-identical to a "
+        "single-process run.",
     )
     _add_campaign_spec_args(p_cd)
     p_cd.add_argument("--workers", type=int, default=2,
@@ -251,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="chain-cost source for --partition lpt "
                       "(see 'campaign')")
     p_cd.add_argument("--work-dir", metavar="DIR",
-                      help="directory for spec/shard/checkpoint files "
+                      help="directory for spec/shard/heartbeat files "
                       "(default: a temporary directory, removed on "
                       "success)")
     p_cd.add_argument("--hosts", metavar="ssh:HOST[,HOST...]",
@@ -265,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
                       "(default) assumes one filesystem; 'copyback' "
                       "gives every host its own work dir under "
                       "WORK_DIR/hosts/HOST -- inputs staged out per "
-                      "launch, results/checkpoints/heartbeats pulled "
+                      "launch, results/heartbeats pulled "
                       "back per poll, every transfer timeout-bounded, "
                       "retried, digest-verified and atomically landed")
     p_cd.add_argument("--host-blacklist-after", type=int, default=None,
@@ -284,10 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cd.add_argument("--max-attempts", type=int, default=3,
                       help="launch attempts per shard before giving up "
                       "(default 3)")
-    p_cd.add_argument("--checkpoint-every", type=int, default=16,
-                      metavar="N",
-                      help="cells between shard checkpoint writes "
-                      "(default 16)")
     p_cd.add_argument("--stall-after", type=float, default=None,
                       metavar="S",
                       help="heartbeat liveness window: kill and relaunch "
@@ -328,9 +311,10 @@ def build_parser() -> argparse.ArgumentParser:
                       help="elastic straggler splitting: when the queue "
                       "is empty, slots sit idle and one shard has held "
                       "its slot for S seconds, re-partition its "
-                      "unfinished chains onto the idle slots (resumed "
-                      "from its checkpoint; the union stays bit-identical;"
-                      " default: off)")
+                      "unfinished chains onto the idle slots (with "
+                      "--store, chains the store holds count as finished "
+                      "and are served; the union stays bit-identical; "
+                      "default: off)")
     p_cd.add_argument("--json", dest="json_out", metavar="PATH",
                       help="write the merged CampaignResult as JSON "
                       "(its chain_costs block is the natural "
@@ -342,14 +326,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_cd.add_argument("--store", metavar="DIR",
                       help="content-addressed result store passed to every "
                       "shard via --store (must be shared storage when "
-                      "--hosts spans machines); repeated or overlapping "
-                      "dispatches then skip already-solved cells")
+                      "--hosts spans machines); relaunched and split "
+                      "shards, repeated or overlapping dispatches then "
+                      "skip already-solved cells.  Without it a failed "
+                      "shard is solved again from scratch")
 
     p_cm = sub.add_parser(
         "campaign-merge",
         help="merge shard/partial campaign result JSONs into one",
         description="Union campaign result files produced with --shard "
-        "(or truncated/partial runs) into one canonical-order result. "
+        "(or --chains subsets) into one canonical-order result. "
         "All inputs must share the exact campaign spec; overlapping "
         "cells and duplicate shard indices are rejected.  Exit status 1 "
         "when the union is still missing cells of the spec.",
@@ -749,16 +735,13 @@ def _spec_from_args(args: argparse.Namespace):
 
 
 def _cmd_campaign(args: argparse.Namespace) -> int:
-    from repro.batch import Campaign, CampaignResult, parse_shard
+    from repro.batch import Campaign, parse_shard
     from repro.batch.campaign import load_cost_manifest
 
     spec = _spec_from_args(args)
-    resume_from = (
-        CampaignResult.load_json(args.resume) if args.resume else None
-    )
     shard = parse_shard(args.shard) if args.shard else None
     chain_indices = None
-    if args.chains:
+    if args.chains is not None:
         try:
             chain_indices = [
                 int(token)
@@ -770,6 +753,10 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
                 "--chains must be a comma-separated list of chain plan "
                 f"indices, got {args.chains!r}"
             ) from None
+        if not chain_indices:
+            raise ValueError(
+                f"--chains names no chain index, got {args.chains!r}"
+            )
     cost_manifest = (
         load_cost_manifest(args.cost_manifest)
         if args.cost_manifest
@@ -778,15 +765,11 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     result = Campaign(spec).run(
         workers=args.workers,
         chunk_size=args.chunk_size,
-        resume_from=resume_from,
         stream_csv=args.stream_csv,
         collect=not args.no_collect,
         shard=shard,
         partition=args.partition,
         cost_manifest=cost_manifest,
-        max_cells=args.max_cells,
-        checkpoint=args.checkpoint,
-        checkpoint_every=args.checkpoint_every,
         store=args.store,
         chain_indices=chain_indices,
         heartbeat=args.heartbeat,
@@ -803,13 +786,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         executed = result.n_analyses or result.streamed_cells
         print(f"shard {shard[0]}/{shard[1]}: "
               f"{executed} of {spec.n_analyses()} total analyses")
-    if result.reused_cells:
-        print(f"resumed: {result.reused_cells} cells reused from {args.resume}"
-              + (f" ({result.reseed_solves} warm-start re-seed solves)"
-                 if result.reseed_solves else ""))
-    if result.truncated:
-        print(f"truncated after {args.max_cells} cells (--max-cells); "
-              "the JSON result can be resumed with --resume")
     if args.stream_csv:
         print(f"streamed {result.streamed_cells} cells to {args.stream_csv}")
     print(result.format_summary())
@@ -853,7 +829,7 @@ def _cmd_campaign_merge(args: argparse.Namespace) -> int:
     if missing:
         print(
             f"warning: {missing} cells of the spec are still missing "
-            "(merge more shards, or complete with --resume)",
+            "(merge more shards)",
             file=sys.stderr,
         )
     if not args.quiet:
@@ -887,6 +863,10 @@ def _cmd_campaign_dispatch(args: argparse.Namespace) -> int:
 
     spec = _spec_from_args(args)
     workers = args.workers
+    if workers < 1:
+        # Checked before the default shard count is derived from it, so
+        # the error names the flag that is wrong.
+        raise ValueError(f"--workers must be >= 1, got {workers}")
     shards = args.shards if args.shards is not None else 4 * workers
     cost_manifest = (
         load_cost_manifest(args.cost_manifest)
@@ -929,7 +909,6 @@ def _cmd_campaign_dispatch(args: argparse.Namespace) -> int:
         work_dir=work_dir,
         backend=backend,
         max_attempts=args.max_attempts,
-        checkpoint_every=args.checkpoint_every,
         stall_after=args.stall_after,
         heartbeat_interval=args.heartbeat_interval,
         shard_timeout=args.shard_timeout,
@@ -946,8 +925,7 @@ def _cmd_campaign_dispatch(args: argparse.Namespace) -> int:
 
     # SIGTERM (systemd stop, cluster preemption, a plain `kill`) takes
     # the same graceful path SIGINT already does: the dispatcher
-    # terminates every child shard, saves the merged partial, and the
-    # work dir stays resumable.
+    # terminates every child shard and saves the merged partial.
     def _graceful_term(signum, frame):
         raise KeyboardInterrupt
 

@@ -162,8 +162,8 @@ def scale_system_utilization(
     so for a fixed seed the system :func:`random_system` draws at
     utilization ``u2`` equals the one drawn at ``u1`` with all wcet/bcet
     multiplied by ``u2/u1`` -- periods, platforms, offsets and priorities
-    are utilization-independent.  Campaign sweep chains (and their shard /
-    prefix-resume replays, which must reproduce the chain's systems bit
+    are utilization-independent.  Campaign sweep chains (and their shard
+    and store-key replays, which must reproduce the chain's systems bit
     for bit) exploit this to generate each chain's system once and scale
     per level instead of re-drawing.  Scaling applies the generator's own
     1e-6 wcet floor, and a demand that crosses it keeps the task's

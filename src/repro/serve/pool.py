@@ -19,8 +19,9 @@ Two layers of concurrency, deliberately separate:
 
 ``backend="dispatch"`` jobs bypass the in-process pool and hand the spec
 to :class:`~repro.batch.dispatch.CampaignDispatcher` -- subprocess
-shards, work stealing, relaunch-from-checkpoint -- under a per-job work
-dir in the service spool.  That is the path for sweeps too large to hold
+shards, work stealing, relaunches that serve solved cells from the
+service's store when it has one -- under a per-job work dir in the
+service spool.  That is the path for sweeps too large to hold
 in one pool; the result folds back through the same registry.
 """
 

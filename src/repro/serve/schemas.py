@@ -12,7 +12,7 @@ subset of a :class:`~repro.batch.campaign.CampaignResult` JSON document.
 ``GET /campaigns/{id}/result`` must return byte-identical bodies for two
 runs of the same spec (and match what ``python -m repro campaign --json``
 wrote, modulo wall-clock), so the payload drops every volatile execution
-field -- wall seconds, worker counts, store/resume accounting,
+field -- wall seconds, worker counts, store and re-seed accounting,
 per-cell ``time_s`` -- and serializes through
 :func:`repro.batch.canonical.canonical_json`.  Non-finite metric floats
 (an unschedulable cell's ``max_wcrt_ratio`` is ``inf``, an aborted
@@ -170,13 +170,12 @@ class CampaignRequest:
 
 #: CampaignResult fields that vary run to run without changing what was
 #: computed.  ``chain_costs`` are recorded wall seconds; the store and
-#: resume counters describe *how* cells were obtained, not their values.
+#: re-seed counters describe *how* cells were obtained, not their values.
 _VOLATILE_RESULT_FIELDS = frozenset(
     {
         "workers",
         "wall_time_s",
         "streamed_cells",
-        "reused_cells",
         "reseed_solves",
         "reseed_evaluations",
         "store_hits",

@@ -61,12 +61,12 @@ class FixedPointStats:
     outer_task_solves: int = 0
     outer_task_skips: int = 0
     #: Solves/evaluations spent *re-seeding* warm-start state rather than
-    #: producing a reported result: a chain-prefix resume re-solves the last
-    #: completed sweep level only to recover its converged jitter vector
-    #: (the least fixed point is start-independent), so this work belongs to
-    #: the resume machinery, not to any recorded cell.  Counted inside
-    #: :func:`reseed_scope`; the campaign threads the totals into
-    #: ``CampaignResult.reseed_*``.
+    #: producing a reported result: after a sweep level served from the
+    #: result store, the next solved level needs that level's converged
+    #: jitter vector, so the campaign re-solves the served level only to
+    #: recover it (the least fixed point is start-independent).  This work
+    #: belongs to no recorded cell.  Counted inside :func:`reseed_scope`;
+    #: the campaign threads the totals into ``CampaignResult.reseed_*``.
     reseed_solves: int = 0
     reseed_evaluations: int = 0
     #: Verdict-mode accounting (``AnalysisConfig.mode="verdict"``), all zero
@@ -146,7 +146,8 @@ def reseed_scope() -> Iterator[FixedPointStats]:
     Yields the stats snapshot taken on entry; on exit the solves and
     evaluations accumulated since then are additionally charged to the
     ``reseed_*`` counters, so accounting consumers can separate "work that
-    produced a reported result" from "work that only rebuilt resume state".
+    produced a reported result" from "work that only rebuilt warm-start
+    state".
     """
     before = _STATS.snapshot()
     try:

@@ -158,6 +158,16 @@ class TestExport:
         # The payload really is JSON (inf round trips via allow_nan).
         json.loads(path.read_text())
 
+    def test_save_json_is_atomic(self, tmp_path):
+        """Write-then-rename: the temp file is gone once the result is in
+        place, and rewriting an existing file replaces it whole."""
+        result = Campaign(small_spec()).run(workers=1)
+        path = tmp_path / "campaign.json"
+        path.write_text('{"torn": ')
+        result.save_json(path)
+        assert not path.with_name(path.name + ".tmp").exists()
+        assert CampaignResult.load_json(path).metrics() == result.metrics()
+
     def test_cells_csv(self, tmp_path):
         result = Campaign(small_spec()).run(workers=1)
         path = result.write_cells_csv(tmp_path / "cells.csv")
@@ -389,116 +399,69 @@ class TestChainCosts:
         assert CampaignResult.load_json(path).chain_costs == {}
 
 
-class TestCheckpoint:
-    """ISSUE 5: periodic atomic checkpoints make real kills resumable."""
-
-    def test_checkpoint_is_valid_resume_input(self, tmp_path):
-        spec = small_spec()
-        full = Campaign(spec).run(workers=1)
-        ck = tmp_path / "ck.json"
-        Campaign(spec).run(workers=1, checkpoint=ck, checkpoint_every=2)
-        partial = CampaignResult.load_json(ck)
-        assert partial.truncated  # a checkpoint is a truncated view
-        assert 0 < len(partial.cells) <= len(full.cells)
-        resumed = Campaign(spec).run(workers=1, resume_from=partial)
-        assert resumed.metrics() == full.metrics()
-
-    def test_checkpoint_write_is_atomic(self, tmp_path):
-        ck = tmp_path / "ck.json"
-        Campaign(small_spec()).run(
-            workers=1, checkpoint=ck, checkpoint_every=1
-        )
-        assert ck.exists()
-        assert not ck.with_name(ck.name + ".tmp").exists()
-        CampaignResult.load_json(ck)  # parses cleanly
-
-    def test_checkpoint_during_resume_reports_reused_cells(self, tmp_path):
-        spec = small_spec()
-        partial = Campaign(spec).run(workers=1, max_cells=4)
-        ck = tmp_path / "ck.json"
-        Campaign(spec).run(
-            workers=1, resume_from=partial, checkpoint=ck, checkpoint_every=2
-        )
-        # The reused batch is consumed (and may be checkpointed) first;
-        # the checkpoint must already carry its reused-cell provenance.
-        assert CampaignResult.load_json(ck).reused_cells == 4
-
-    def test_checkpoint_validation(self, tmp_path):
-        spec = small_spec()
-        with pytest.raises(ValueError, match="checkpoint_every"):
-            Campaign(spec).run(workers=1, checkpoint=tmp_path / "c.json")
-        with pytest.raises(ValueError, match="collect"):
-            Campaign(spec).run(
-                workers=1,
-                checkpoint=tmp_path / "c.json",
-                checkpoint_every=2,
-                collect=False,
-                stream_csv=tmp_path / "s.csv",
-            )
-
-    @pytest.mark.dist
-    def test_pool_run_checkpoints_at_chunk_granularity(self, tmp_path):
-        spec = small_spec(systems_per_cell=4)
-        ck = tmp_path / "ck.json"
-        result = Campaign(spec).run(
-            workers=2, checkpoint=ck, checkpoint_every=1
-        )
-        partial = CampaignResult.load_json(ck)
-        assert len(partial.cells) <= len(result.cells)
-        assert partial.metrics() == result.metrics()[: len(partial.cells)]
-
-
 class TestResume:
-    """ISSUE 2 satellite: --resume skips completed cells and merges."""
+    """A rerun against the result store resumes a campaign: stored cells
+    are served, the rest solved, and the cells equal a fresh run's."""
 
-    def test_full_resume_reuses_everything(self):
+    def test_full_resume_reuses_everything(self, tmp_path):
         spec = small_spec()
-        full = Campaign(spec).run(workers=1)
-        resumed = Campaign(spec).run(workers=1, resume_from=full)
-        assert resumed.reused_cells == len(full.cells)
+        full = Campaign(spec).run(workers=1, store=tmp_path / "store")
+        resumed = Campaign(spec).run(workers=1, store=tmp_path / "store")
+        assert resumed.store_hits == len(full.cells)
+        assert resumed.store_misses == 0
         assert resumed.metrics() == full.metrics()
 
-    def test_partial_resume_reruns_incomplete_chains(self):
+    def test_partial_resume_reruns_incomplete_chains(self, tmp_path):
+        from repro.batch.campaign import chain_store_digests
+
         spec = small_spec(systems_per_cell=3)
         full = Campaign(spec).run(workers=1)
-        # Drop one chain completely (replicate 2) and keep only the first
+        store = tmp_path / "store"
+        Campaign(spec).run(workers=1, store=store)
+        # Drop one chain completely (replicate 2) and all but the first
         # sweep level of another (replicate 1): the former re-runs from
-        # scratch, the latter reuses its completed prefix and re-seeds the
-        # warm-start state from the last completed level (see
-        # tests/test_campaign_resume_prefix.py for the full matrix).
-        partial = CampaignResult(
-            spec=full.spec,
-            cells=[
-                c for c in full.cells
-                if c.replicate == 0
-                or (c.replicate == 1 and c.params["utilization"] < 0.6)
-            ],
-            workers=1,
-            wall_time_s=full.wall_time_s,
-        )
-        resumed = Campaign(spec).run(workers=1, resume_from=partial)
+        # scratch, the latter is served its first level and re-seeds the
+        # warm-start state from it (see tests/test_campaign_resume_prefix.py
+        # for the full matrix).
+        chains = spec.chains()
+        doomed = chain_store_digests(spec, chains[1])[len(spec.methods):]
+        doomed += chain_store_digests(spec, chains[2])
+        for digest in doomed:
+            (store / digest[:2] / f"{digest}.json").unlink()
+        resumed = Campaign(spec).run(workers=1, store=store)
         assert resumed.metrics() == full.metrics()
-        # The full chain (replicate 0) plus replicate 1's one-level prefix.
+        # The full chain (replicate 0) plus replicate 1's first level.
         n_levels = len(spec.sweep_values())
-        assert resumed.reused_cells == (n_levels + 1) * len(spec.methods)
-        # Re-seeding the prefix chain's warm state cost unreported solves.
+        assert resumed.store_hits == (n_levels + 1) * len(spec.methods)
+        # Re-seeding the served level's warm state cost unreported solves.
         assert resumed.reseed_solves > 0
 
     def test_resume_round_trips_through_json(self, tmp_path):
-        spec = small_spec()
-        first = Campaign(spec).run(workers=1)
-        path = first.save_json(tmp_path / "partial.json")
-        loaded = CampaignResult.load_json(path)
-        resumed = Campaign(spec).run(workers=1, resume_from=loaded)
-        assert resumed.metrics() == first.metrics()
-        assert resumed.reused_cells == len(first.cells)
+        """Store entries are JSON files: a fresh handle on the directory
+        serves the first run's cells, equal field for field."""
+        from repro.batch import ResultStore
 
-    def test_resume_rejects_mismatched_spec(self):
         spec = small_spec()
-        other = small_spec(seed=99)
-        done = Campaign(other).run(workers=1)
-        with pytest.raises(ValueError, match="seed"):
-            Campaign(spec).run(workers=1, resume_from=done)
+        first = Campaign(spec).run(workers=1, store=tmp_path / "store")
+        resumed = Campaign(spec).run(
+            workers=1, store=ResultStore(tmp_path / "store")
+        )
+        assert resumed.metrics() == first.metrics()
+        assert [c.extras for c in resumed.cells] == [
+            c.extras for c in first.cells
+        ]
+        assert resumed.store_hits == len(first.cells)
+
+    def test_resume_rejects_mismatched_spec(self, tmp_path):
+        """A store filled by another seed's run holds none of this
+        spec's keys: nothing of it is served."""
+        spec = small_spec()
+        Campaign(small_spec(seed=99)).run(
+            workers=1, store=tmp_path / "store"
+        )
+        resumed = Campaign(spec).run(workers=1, store=tmp_path / "store")
+        assert resumed.store_hits == 0
+        assert resumed.metrics() == Campaign(spec).run(workers=1).metrics()
 
     def test_cli_resume(self, tmp_path, capsys):
         args = [
@@ -508,20 +471,38 @@ class TestResume:
             "--tasks", "1,2",
             "--systems", "2",
             "--workers", "1",
+            "--store", str(tmp_path / "store"),
         ]
         first_json = tmp_path / "first.json"
         assert cli_main(args + ["--json", str(first_json)]) == 0
-        capsys.readouterr()
+        assert "0 cells served, 4 solved" in capsys.readouterr().out
         second_json = tmp_path / "second.json"
-        rc = cli_main(
-            args + ["--resume", str(first_json), "--json", str(second_json)]
-        )
+        rc = cli_main(args + ["--json", str(second_json)])
         assert rc == 0
-        out = capsys.readouterr().out
-        assert "resumed:" in out
+        assert "4 cells served, 0 solved" in capsys.readouterr().out
         a = CampaignResult.load_json(first_json)
         b = CampaignResult.load_json(second_json)
         assert a.metrics() == b.metrics()
+
+    @pytest.mark.parametrize("flag", [
+        ["--resume", "x.json"],
+        ["--max-cells", "3"],
+        ["--checkpoint", "ck.json"],
+        ["--checkpoint-every", "2"],
+    ])
+    def test_removed_recovery_flags_are_usage_errors(self, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["campaign", "--grid", "utilization=0.3", *flag])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "keyword", ["resume_from", "max_cells", "checkpoint",
+                    "checkpoint_every"],
+    )
+    def test_removed_recovery_keywords_are_refused(self, keyword):
+        with pytest.raises(TypeError, match=keyword):
+            Campaign(small_spec()).run(workers=1, **{keyword: None})
 
 
 class TestStreamingCsv:
@@ -671,20 +652,25 @@ class TestPoolCollection:
 
 
 class TestParentFormatFiles:
-    """Result files written before the shared-memory ring was removed
-    carry ``shm_records``/``shm_overflow``; they still load, merge and
-    resume, and nothing writes those keys any more."""
+    """Result files written by earlier versions carry ``shm_records``/
+    ``shm_overflow`` (the shared-memory ring) and ``reused_cells``
+    (chain-prefix resume); they still load and merge, and nothing writes
+    those keys any more."""
 
     @staticmethod
-    def _write_old(result: CampaignResult, path):
+    def _write_old(result: CampaignResult, path, reused: int = 0):
         data = result.to_dict()
-        data.update(shm_records=5, shm_overflow=1)
+        data.update(shm_records=5, shm_overflow=1, reused_cells=reused)
         path.write_text(json.dumps(data))
         return path
 
     def test_to_dict_has_no_ring_counters(self):
         data = Campaign(small_spec()).run(workers=1).to_dict()
         assert not {"shm_records", "shm_overflow"} & set(data)
+
+    def test_to_dict_has_no_reused_cells(self):
+        data = Campaign(small_spec()).run(workers=1).to_dict()
+        assert "reused_cells" not in data
 
     def test_old_shard_files_merge(self, tmp_path, capsys):
         spec = small_spec(systems_per_cell=4)
@@ -702,30 +688,30 @@ class TestParentFormatFiles:
         ])
         assert rc == 0
         assert CampaignResult.load_json(merged_path).metrics() == full.metrics()
-        assert "shm_records" not in json.loads(merged_path.read_text())
+        written = json.loads(merged_path.read_text())
+        assert not {"shm_records", "reused_cells"} & set(written)
 
-    def test_old_checkpoint_resumes(self, tmp_path, capsys):
+    def test_old_checkpoint_merges_as_a_partial(self, tmp_path, capsys):
+        """A checkpoint of an earlier version -- a truncated partial that
+        counts its resumed cells -- loads and merges as the partial it
+        is: ``campaign-merge`` reports the missing cells and exits 1."""
         spec = small_spec(systems_per_cell=4)
         full = Campaign(spec).run(workers=1)
-        old = self._write_old(
-            Campaign(spec).run(workers=1, max_cells=5), tmp_path / "ck.json"
+        partial = dataclasses.replace(
+            full, cells=full.cells[:5], truncated=True
         )
-        api = Campaign(spec).run(
-            workers=1, resume_from=CampaignResult.load_json(old)
-        )
-        assert api.metrics() == full.metrics()
-        assert api.reused_cells == 5
-        spec_path = tmp_path / "spec.json"
-        spec_path.write_text(json.dumps(spec.to_dict()))
-        out = tmp_path / "resumed.json"
-        rc = cli_main([
-            "campaign", "--spec", str(spec_path), "--resume", str(old),
-            "--json", str(out),
-        ])
-        assert rc == 0
-        resumed = CampaignResult.load_json(out)
-        assert resumed.metrics() == full.metrics()
-        assert resumed.reused_cells == 5
+        old = self._write_old(partial, tmp_path / "ck.json", reused=5)
+        loaded = CampaignResult.load_json(old)
+        assert loaded.truncated
+        assert loaded.metrics() == full.metrics()[:5]
+        merged = tmp_path / "merged.json"
+        rc = cli_main(["campaign-merge", str(old), "--json", str(merged)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        missing = len(full.cells) - 5
+        assert f"{missing} cells of the spec are still missing" in err
+        assert "--resume" not in err
+        assert CampaignResult.load_json(merged).truncated
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_canonical_result_json_pinned(self, workers):
@@ -784,7 +770,7 @@ class TestResultEncoding:
         result.cells.append(_cell(max_wcrt_ratio=math.nan))
         result.cells.append(_cell(max_wcrt_ratio=math.inf, seed=4))
         result = dataclasses.replace(
-            result, streamed_cells=3, reused_cells=2, reseed_solves=5,
+            result, streamed_cells=3, reseed_solves=5,
             reseed_evaluations=40, store_hits=1, store_misses=6,
             truncated=True,
         )
@@ -813,7 +799,7 @@ class TestResultEncoding:
             json.loads(json.dumps(former, indent=2))
         )
 
-    def test_indented_files_still_merge_and_resume(self, tmp_path):
+    def test_indented_files_still_merge(self, tmp_path):
         spec = small_spec(systems_per_cell=4)
         full = Campaign(spec).run(workers=1)
 
@@ -833,14 +819,6 @@ class TestResultEncoding:
             "campaign-merge", *map(str, paths), "--json", str(merged),
         ]) == 0
         assert CampaignResult.load_json(merged).metrics() == full.metrics()
-        checkpoint = write_indented(
-            Campaign(spec).run(workers=1, max_cells=5), "ck.json"
-        )
-        resumed = Campaign(spec).run(
-            workers=1, resume_from=CampaignResult.load_json(checkpoint)
-        )
-        assert resumed.metrics() == full.metrics()
-        assert resumed.reused_cells == 5
 
 
 class TestChainScaling:
@@ -1060,3 +1038,22 @@ class TestHeartbeatAndChains:
         rc = cli_main(["campaign", "--chains", "0,x"])
         assert rc == 2
         assert "--chains" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [",", " ", "", " , "])
+    def test_cli_chains_naming_no_index_is_a_usage_error(
+        self, value, capsys
+    ):
+        """An empty subset is a usage error, not an empty campaign (or,
+        for ``''``, silently the whole plan)."""
+        rc = cli_main([
+            "campaign", "--grid", "utilization=0.3", "--systems", "1",
+            "--chains", value,
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "--chains names no chain index" in err
+
+    def test_api_empty_chain_indices_stays_an_empty_run(self):
+        result = Campaign(small_spec()).run(workers=1, chain_indices=[])
+        assert result.cells == []

@@ -1,20 +1,41 @@
-"""Chain-prefix resume: killed campaigns restart bit-identically.
+"""Resuming a killed campaign: a rerun against its result store.
 
-A campaign killed mid-chain (simulated deterministically with
-``max_cells``) leaves partially completed warm-start chains.  Resuming
-must (a) reuse every fully-completed sweep *prefix*, (b) re-seed the
-warm-start jitter vector by re-solving only the last completed level
-(the converged jitters are the least fixed point, hence independent of
-the starting vector), and (c) produce results -- including the
-per-cell ``fp_task_solves``/``fp_task_skips`` accounting -- equal to a
-from-scratch run.  Also covers the spec-mismatch rejection paths.
+A campaign given a result store writes each cell to it as the cell is
+solved, so a run killed after ``cut`` cells leaves exactly that prefix
+of the canonical cell order behind.  Rerunning the same command against
+the same store resumes it: the stored cells are served, the rest solved,
+and every cell -- accounting and provenance extras included -- equals
+an uninterrupted storeless run in every field but ``time_s``.  The
+random-loss matrix deletes a seeded random 10-90 % of a complete run's
+entries and reruns an exact sweep, a verdict (pruned) spec and a mixed
+spec inline, on a 2-worker pool, sharded and as ``chain_indices``
+subsets; the prefix drills pin what a kill after ``cut`` cells leaves
+and how the rerun accounts for it, with real SIGKILLed CLI processes
+too.
 """
 
 from __future__ import annotations
 
+import math
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
-from repro.batch import Campaign, CampaignResult, CampaignSpec
+from repro.batch import (
+    Campaign,
+    CampaignResult,
+    CampaignSpec,
+    Fault,
+    FaultPlan,
+    ResultStore,
+    merge_campaign_results,
+)
+from repro.batch.campaign import chain_store_digests
+from repro.batch.faults import FAULT_ENV
 from repro.cli import main as cli_main
 
 
@@ -34,145 +55,264 @@ def make_spec(**overrides) -> CampaignSpec:
     return CampaignSpec(**kwargs)
 
 
-def cells_with_extras(result: CampaignResult) -> list[tuple]:
-    """metrics() plus the per-cell extras (fp_task_solves and friends)."""
+#: The three spec shapes of the matrix: the ascending warm-start walk,
+#: the bisecting verdict chain, and both runners' methods in one chain.
+MATRIX_SPECS = {
+    "exact": dict(methods=("gauss_seidel",)),
+    "verdict": dict(
+        methods=("verdict",),
+        grid={"utilization": (0.3, 0.45, 0.6, 0.75, 0.9, 1.05)},
+    ),
+    "mixed": dict(
+        methods=("reduced", "verdict"),
+        grid={"utilization": (0.3, 0.5, 0.7, 0.9, 1.1)},
+    ),
+}
+
+
+def _nan_safe(value):
+    if isinstance(value, float) and math.isnan(value):
+        return "nan"
+    if isinstance(value, dict):
+        return {k: _nan_safe(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_nan_safe(v) for v in value]
+    return value
+
+
+def cell_fields(result: CampaignResult) -> list[dict]:
+    """Every field of every cell but ``time_s``, NaN equal to NaN."""
     return [
-        m + (tuple(sorted(c.extras.items())),)
-        for m, c in zip(result.metrics(), result.cells)
+        _nan_safe({k: v for k, v in c.to_dict().items() if k != "time_s"})
+        for c in result.cells
     ]
 
 
-class TestMaxCells:
-    """The deterministic mid-chain kill switch."""
+def entries(root: Path) -> list[Path]:
+    return sorted(root.glob("??/*.json"))
 
-    def test_truncates_and_flags(self):
+
+def drop_random(root: Path, seed: int) -> int:
+    """Delete a seeded random 10-90 % of the store's entries."""
+    rng = random.Random(seed)
+    files = entries(root)
+    doomed = rng.sample(files, int(len(files) * rng.uniform(0.1, 0.9)))
+    for path in doomed:
+        path.unlink()
+    return len(doomed)
+
+
+def keep_prefix(spec: CampaignSpec, root: Path, cut: int) -> None:
+    """Leave only the first *cut* cells of the canonical order stored --
+    what an inline run killed after *cut* cells wrote."""
+    digests = [
+        d for chain in spec.chains() for d in chain_store_digests(spec, chain)
+    ]
+    keep = set(digests[:cut])
+    for path in entries(root):
+        if path.stem not in keep:
+            path.unlink()
+
+
+def run_mode(spec: CampaignSpec, mode: str, store: Path) -> CampaignResult:
+    campaign = Campaign(spec)
+    if mode == "inline":
+        return campaign.run(workers=1, store=store)
+    if mode == "pool":
+        return campaign.run(workers=2, store=store)
+    if mode == "sharded":
+        return merge_campaign_results(
+            [campaign.run(workers=1, shard=(k, 3), store=store)
+             for k in range(3)]
+        )
+    assert mode == "chain_indices"
+    indices = [c["index"] for c in spec.chains()]
+    return merge_campaign_results(
+        [campaign.run(workers=1, chain_indices=indices[0::2], store=store),
+         campaign.run(workers=1, chain_indices=indices[1::2], store=store)]
+    )
+
+
+class TestRandomLossMatrix:
+    """Whatever share of a run's entries survives, a rerun completes it
+    with the storeless run's cells."""
+
+    @pytest.mark.parametrize(
+        "mode",
+        [
+            "inline",
+            pytest.param("pool", marks=pytest.mark.dist),
+            "sharded",
+            "chain_indices",
+        ],
+    )
+    @pytest.mark.parametrize("shape", sorted(MATRIX_SPECS))
+    def test_rerun_after_random_loss_equals_storeless(
+        self, tmp_path, shape, mode
+    ):
+        spec = make_spec(**MATRIX_SPECS[shape])
+        storeless = Campaign(spec).run(workers=1)
+        store = tmp_path / "store"
+        Campaign(spec).run(workers=1, store=store)
+        total = len(entries(store))
+        for seed in (1, 2):
+            dropped = drop_random(store, seed=seed)
+            assert 0 < dropped < total
+            rerun = run_mode(spec, mode, store)
+            assert cell_fields(rerun) == cell_fields(storeless), seed
+            assert rerun.store_misses > 0
+            assert rerun.store_hits + rerun.store_misses == len(rerun.cells)
+            # The rerun stored what it solved: the store is whole again.
+            assert len(entries(store)) == total
+
+    def test_rerun_against_a_lost_store_solves_everything(self, tmp_path):
         spec = make_spec()
-        partial = Campaign(spec).run(workers=1, max_cells=5)
-        assert partial.truncated
-        assert len(partial.cells) == 5
-        full = Campaign(spec).run(workers=1)
-        assert not full.truncated
-        # The partial run is a strict prefix of the canonical cell order.
-        assert partial.metrics() == full.metrics()[:5]
-
-    def test_zero_budget(self):
-        partial = Campaign(make_spec()).run(workers=1, max_cells=0)
-        assert partial.cells == [] and partial.truncated
-
-    def test_negative_budget_rejected(self):
-        with pytest.raises(ValueError, match="max_cells"):
-            Campaign(make_spec()).run(workers=1, max_cells=-1)
-
-    def test_no_op_when_budget_covers_run(self):
-        spec = make_spec()
-        result = Campaign(spec).run(workers=1, max_cells=10**9)
-        assert not result.truncated
-        assert len(result.cells) == spec.n_analyses()
+        storeless = Campaign(spec).run(workers=1)
+        store = tmp_path / "store"
+        Campaign(spec).run(workers=1, store=store)
+        for path in entries(store):
+            path.unlink()
+        rerun = Campaign(spec).run(workers=1, store=store)
+        assert cell_fields(rerun) == cell_fields(storeless)
+        assert rerun.store_hits == 0
+        assert rerun.store_misses == spec.n_analyses()
 
 
 class TestPrefixResume:
-    """Killed at every possible point, resume == from-scratch."""
+    """A run killed after ``cut`` cells stored exactly that prefix; the
+    rerun serves it and solves the rest."""
 
     @pytest.mark.parametrize("cut", [1, 2, 3, 5, 7, 11])
-    def test_resume_bit_identical_at_any_cut(self, cut):
+    def test_resume_bit_identical_at_any_cut(self, tmp_path, cut):
         spec = make_spec()
         full = Campaign(spec).run(workers=1)
-        partial = Campaign(spec).run(workers=1, max_cells=cut)
-        resumed = Campaign(spec).run(workers=1, resume_from=partial)
-        assert not resumed.truncated
-        assert resumed.metrics() == full.metrics()
+        store = tmp_path / "store"
+        Campaign(spec).run(workers=1, store=store)
+        keep_prefix(spec, store, cut)
+        rerun = Campaign(spec).run(workers=1, store=store)
         # ... including the dirty-set / fixed-point solve accounting the
         # gauss_seidel method threads through the extras.
-        assert cells_with_extras(resumed) == cells_with_extras(full)
-        assert resumed.reused_cells == cut
+        assert cell_fields(rerun) == cell_fields(full)
+        assert rerun.store_hits == cut
 
-    def test_mid_level_kill_reruns_that_level_whole(self):
+    def test_mid_level_kill_reruns_that_level_whole(self, tmp_path):
         # Two methods per level; an odd cut strands one method mid-level.
         spec = make_spec(methods=("gauss_seidel", "dedicated"))
         full = Campaign(spec).run(workers=1)
-        partial = Campaign(spec).run(workers=1, max_cells=3)
-        resumed = Campaign(spec).run(workers=1, resume_from=partial)
-        assert cells_with_extras(resumed) == cells_with_extras(full)
-        # Only the one fully-completed level (2 cells) was reusable.
-        assert resumed.reused_cells == 2
+        store = tmp_path / "store"
+        Campaign(spec).run(workers=1, store=store)
+        keep_prefix(spec, store, 3)
+        rerun = Campaign(spec).run(workers=1, store=store)
+        assert cell_fields(rerun) == cell_fields(full)
+        # Only the one fully stored level (2 cells) is served: the
+        # methods of a level share a phase cache, so a half-stored level
+        # is solved whole.
+        assert rerun.store_hits == 2
 
-    def test_reseed_accounting_reported(self):
-        spec = make_spec()
-        partial = Campaign(spec).run(workers=1, max_cells=2)
-        resumed = Campaign(spec).run(workers=1, resume_from=partial)
-        # A two-level prefix of chain 0 forces one warm-start re-seed.
-        assert resumed.reseed_solves > 0
-        assert resumed.reseed_evaluations >= resumed.reseed_solves
-        acc = resumed.accounting()
-        assert acc["reseed"]["solves"] == resumed.reseed_solves
-        assert acc["reseed"]["evaluations"] == resumed.reseed_evaluations
-        # Re-seed work is *not* charged to any reported cell: totals match
-        # the from-scratch run exactly (checked cell-by-cell above); here
-        # pin that the summary mentions it instead.
-        assert "re-seed" in resumed.format_summary()
-
-    def test_reused_cells_respects_max_cells_truncation(self):
-        """A resumed run killed again before consuming all reusable cells
-        must report only the reused cells it actually kept."""
-        spec = make_spec()
-        partial = Campaign(spec).run(workers=1, max_cells=8)
-        again = Campaign(spec).run(workers=1, resume_from=partial, max_cells=5)
-        assert again.truncated
-        assert len(again.cells) == 5
-        assert again.reused_cells == 5  # not the 8 that were matched
-
-    def test_chained_kills_resume_to_completion(self):
-        """kill -> resume-with-kill -> resume reaches the full result."""
+    def test_reseed_accounting_reported(self, tmp_path):
         spec = make_spec()
         full = Campaign(spec).run(workers=1)
-        first = Campaign(spec).run(workers=1, max_cells=3)
-        second = Campaign(
-            spec
-        ).run(workers=1, resume_from=first, max_cells=9)
-        assert second.truncated
-        final = Campaign(spec).run(workers=1, resume_from=second)
-        assert cells_with_extras(final) == cells_with_extras(full)
+        store = tmp_path / "store"
+        Campaign(spec).run(workers=1, store=store)
+        keep_prefix(spec, store, 2)
+        rerun = Campaign(spec).run(workers=1, store=store)
+        # The level after a served one needs the served level's jitters:
+        # one warm-start re-seed, charged to no reported cell.
+        assert rerun.reseed_solves > 0
+        assert rerun.reseed_evaluations >= rerun.reseed_solves
+        acc = rerun.accounting()
+        assert acc["reseed"]["solves"] == rerun.reseed_solves
+        assert acc["reseed"]["evaluations"] == rerun.reseed_evaluations
+        assert cell_fields(rerun) == cell_fields(full)
+        assert "re-seed" in rerun.format_summary()
 
-    def test_resume_without_warm_start(self):
+    def test_resume_without_warm_start(self, tmp_path):
         spec = make_spec(warm_start=False)
         full = Campaign(spec).run(workers=1)
-        partial = Campaign(spec).run(workers=1, max_cells=6)
-        resumed = Campaign(spec).run(workers=1, resume_from=partial)
-        assert cells_with_extras(resumed) == cells_with_extras(full)
+        store = tmp_path / "store"
+        Campaign(spec).run(workers=1, store=store)
+        keep_prefix(spec, store, 6)
+        rerun = Campaign(spec).run(workers=1, store=store)
+        assert cell_fields(rerun) == cell_fields(full)
         # No warm chaining -> nothing to re-seed.
-        assert resumed.reseed_solves == 0
+        assert rerun.reseed_solves == 0
 
-    def test_resume_without_sweep_axis(self):
-        spec = make_spec(
-            grid={"n_transactions": (1, 2, 3)}, sweep_axis=None
-        )
+    def test_resume_without_sweep_axis(self, tmp_path):
+        spec = make_spec(grid={"n_transactions": (1, 2, 3)}, sweep_axis=None)
         full = Campaign(spec).run(workers=1)
-        partial = Campaign(spec).run(workers=1, max_cells=4)
-        resumed = Campaign(spec).run(workers=1, resume_from=partial)
-        assert cells_with_extras(resumed) == cells_with_extras(full)
+        store = tmp_path / "store"
+        Campaign(spec).run(workers=1, store=store)
+        keep_prefix(spec, store, 4)
+        rerun = Campaign(spec).run(workers=1, store=store)
+        assert cell_fields(rerun) == cell_fields(full)
+        assert rerun.store_hits == 4
 
     def test_resume_round_trips_through_json(self, tmp_path):
-        spec = make_spec()
+        """The prefix reaches the rerun through the store's JSON files
+        -- inferred verdict cells' NaN ratios included -- read back by a
+        fresh store handle."""
+        spec = make_spec(**MATRIX_SPECS["verdict"])
         full = Campaign(spec).run(workers=1)
-        partial = Campaign(spec).run(workers=1, max_cells=7)
-        loaded = CampaignResult.load_json(
-            partial.save_json(tmp_path / "partial.json")
+        assert any(math.isnan(c.max_wcrt_ratio) for c in full.cells)
+        Campaign(spec).run(workers=1, store=tmp_path / "store")
+        keep_prefix(spec, tmp_path / "store", 7)
+        rerun = Campaign(spec).run(
+            workers=1, store=ResultStore(tmp_path / "store")
         )
-        assert loaded.truncated
-        resumed = Campaign(spec).run(workers=1, resume_from=loaded)
-        assert cells_with_extras(resumed) == cells_with_extras(full)
+        assert rerun.store_hits > 0
+        assert cell_fields(rerun) == cell_fields(full)
 
     @pytest.mark.dist
-    def test_parallel_resume_equals_serial(self):
+    def test_parallel_resume_equals_serial(self, tmp_path):
         spec = make_spec(systems_per_cell=4)
         full = Campaign(spec).run(workers=1)
-        partial = Campaign(spec).run(workers=1, max_cells=9)
-        resumed = Campaign(spec).run(workers=2, resume_from=partial)
-        assert cells_with_extras(resumed) == cells_with_extras(full)
+        store = tmp_path / "store"
+        Campaign(spec).run(workers=1, store=store)
+        keep_prefix(spec, store, 9)
+        resumed = Campaign(spec).run(workers=2, store=store)
+        assert cell_fields(resumed) == cell_fields(full)
+        assert resumed.store_hits == 9
+
+    def test_chained_kills_resume_to_completion(self, tmp_path):
+        """kill -> rerun killed again -> rerun reaches the full result;
+        each attempt's solved cells survive into the next."""
+        store = tmp_path / "store"
+        killed_cli_run(tmp_path, 1, tmp_path / "first.json")
+        assert len(entries(store)) == 3
+        # The second attempt is served the first chain, then killed
+        # inside the second.
+        killed_cli_run(tmp_path, 4, tmp_path / "second.json")
+        assert len(entries(store)) == 6
+        final_json = tmp_path / "final.json"
+        full_json = tmp_path / "full.json"
+        assert cli_main(
+            CLI_ARGS + ["--store", str(store), "--json", str(final_json)]
+        ) == 0
+        assert cli_main(CLI_ARGS + ["--json", str(full_json)]) == 0
+        final = CampaignResult.load_json(final_json)
+        assert final.store_hits == 6
+        assert cell_fields(final) == cell_fields(
+            CampaignResult.load_json(full_json)
+        )
+
+    def test_verdict_chain_keeps_its_provenance(self, tmp_path):
+        """A pruned chain rerun against a partial store bisects the
+        levels a storeless run bisects: solved-vs-inferred split and
+        ``from_level`` witnesses included, at every cut."""
+        spec = make_spec(**MATRIX_SPECS["verdict"])
+        full = Campaign(spec).run(workers=1)
+        store = tmp_path / "store"
+        for cut in range(spec.n_analyses()):
+            Campaign(spec).run(workers=1, store=store)
+            keep_prefix(spec, store, cut)
+            rerun = Campaign(spec).run(workers=1, store=store)
+            assert cell_fields(rerun) == cell_fields(full), cut
 
 
 class TestSpecMismatchRejection:
-    """resume_from must reject results from a different campaign."""
+    """A store filled by a different campaign is rejected, cell by cell:
+    its entries are filed under other keys, so none is ever served to
+    this spec."""
 
     @pytest.mark.parametrize(
         "field,override",
@@ -192,51 +332,97 @@ class TestSpecMismatchRejection:
             ("warm_start", {"warm_start": False}),
         ],
     )
-    def test_mismatch_rejected(self, field, override):
-        donor = Campaign(make_spec(**override)).run(workers=1, max_cells=2)
-        with pytest.raises(ValueError, match=field):
-            Campaign(make_spec()).run(workers=1, resume_from=donor)
+    def test_mismatch_rejected(self, tmp_path, field, override):
+        store = tmp_path / "store"
+        Campaign(make_spec(**override)).run(workers=1, store=store)
+        spec = make_spec()
+        full = Campaign(spec).run(workers=1)
+        rerun = Campaign(spec).run(workers=1, store=store)
+        assert rerun.store_hits == 0, field
+        assert cell_fields(rerun) == cell_fields(full)
 
-    def test_grid_extension_is_allowed(self):
-        """A wider grid is an extension, not a mismatch: old chains that
-        still exist are reused (whole or as prefixes)."""
-        narrow = make_spec(grid={"utilization": (0.3, 0.5)})
-        wide = make_spec(grid={"utilization": (0.3, 0.5, 0.7, 0.9)})
-        done = Campaign(narrow).run(workers=1)
-        full = Campaign(wide).run(workers=1)
-        resumed = Campaign(wide).run(workers=1, resume_from=done)
-        assert cells_with_extras(resumed) == cells_with_extras(full)
-        # Every narrow-grid cell is a prefix of some wide-grid chain.
-        assert resumed.reused_cells == len(done.cells)
+    def test_grid_extension_is_allowed(self, tmp_path):
+        """A wider grid reruns against a narrower one's store without
+        complaint.  More replicates is an extension the store serves
+        (the chains that existed are served whole); a longer sweep
+        ladder is a new execution context (warm-started accounting
+        depends on the levels below), so its cells are solved."""
+        store = tmp_path / "store"
+        narrow = Campaign(make_spec(systems_per_cell=2)).run(
+            workers=1, store=store
+        )
+        spec = make_spec(systems_per_cell=4)
+        full = Campaign(spec).run(workers=1)
+        rerun = Campaign(spec).run(workers=1, store=store)
+        assert cell_fields(rerun) == cell_fields(full)
+        assert rerun.store_hits == len(narrow.cells)
+        wide = make_spec(
+            systems_per_cell=2,
+            grid={"utilization": (0.3, 0.5, 0.7, 0.9, 1.1)},
+        )
+        rerun = Campaign(wide).run(workers=1, store=store)
+        assert rerun.store_hits == 0
+        storeless = Campaign(wide).run(workers=1)
+        assert cell_fields(rerun) == cell_fields(storeless)
+
+
+#: A small CLI campaign: 3 chains of 3 levels, one method.
+CLI_ARGS = [
+    "campaign",
+    "--grid", "utilization=0.3,0.5,0.7",
+    "--transactions", "2",
+    "--tasks", "1,2",
+    "--systems", "3",
+    "--workers", "1",
+]
+
+
+def killed_cli_run(tmp_path: Path, at_cell: int, out: Path) -> None:
+    """Run the CLI campaign against ``tmp_path/store`` in a real process
+    SIGKILLed after *at_cell* cells."""
+    import repro
+
+    env = dict(os.environ)
+    pkg_root = str(Path(repro.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = pkg_root + os.pathsep + env.get("PYTHONPATH", "")
+    env[FAULT_ENV] = FaultPlan(
+        [Fault(shard=0, kind="kill", at_cell=at_cell)]
+    ).for_worker(0, 1)
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro", *CLI_ARGS,
+         "--store", str(tmp_path / "store"), "--json", str(out)],
+        env=env, capture_output=True, timeout=120,
+    )
+    assert proc.returncode == -9, proc.stderr
+    assert not out.exists()
 
 
 class TestCliResumeAfterKill:
-    ARGS = [
-        "campaign",
-        "--grid", "utilization=0.3,0.5,0.7",
-        "--transactions", "2",
-        "--tasks", "1,2",
-        "--systems", "2",
-        "--workers", "1",
-    ]
-
     def test_kill_then_resume_matches_uninterrupted(self, tmp_path, capsys):
         full_json = tmp_path / "full.json"
-        assert cli_main(self.ARGS + ["--json", str(full_json)]) == 0
-        partial_json = tmp_path / "partial.json"
+        assert cli_main(CLI_ARGS + ["--json", str(full_json)]) == 0
+        killed_cli_run(tmp_path, 4, tmp_path / "killed.json")
+        # Chains are consumed whole: the kill after cell 4 landed inside
+        # the second 3-cell chain, after both chains were stored.
+        assert len(entries(tmp_path / "store")) == 6
+        capsys.readouterr()
+        rerun_json = tmp_path / "rerun.json"
         rc = cli_main(
-            self.ARGS + ["--max-cells", "4", "--json", str(partial_json)]
+            CLI_ARGS + ["--store", str(tmp_path / "store"),
+                        "--json", str(rerun_json)]
         )
         assert rc == 0
-        out = capsys.readouterr().out
-        assert "truncated after 4 cells" in out
-        resumed_json = tmp_path / "resumed.json"
-        rc = cli_main(
-            self.ARGS
-            + ["--resume", str(partial_json), "--json", str(resumed_json)]
-        )
-        assert rc == 0
-        assert "resumed: 4 cells" in capsys.readouterr().out
+        assert "6 cells served, 3 solved and stored" in capsys.readouterr().out
         full = CampaignResult.load_json(full_json)
-        resumed = CampaignResult.load_json(resumed_json)
-        assert resumed.metrics() == full.metrics()
+        rerun = CampaignResult.load_json(rerun_json)
+        assert cell_fields(rerun) == cell_fields(full)
+
+
+def test_store_has_is_a_membership_query(tmp_path):
+    spec = make_spec(systems_per_cell=1)
+    store = ResultStore(tmp_path / "store")
+    digests = chain_store_digests(spec, spec.chains()[0])
+    assert len(digests) == spec.n_analyses()
+    assert not any(store.has(d) for d in digests)
+    Campaign(spec).run(workers=1, store=store)
+    assert all(store.has(d) for d in digests)

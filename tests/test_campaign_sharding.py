@@ -287,16 +287,21 @@ class TestMergeTool:
         with pytest.raises(ValueError, match="do not belong"):
             merge_campaign_results([a, rogue])
 
-    def test_partial_merge_is_resumable(self):
-        """A merge missing one shard is a valid resume_from input."""
+    def test_partial_merge_is_resumable(self, tmp_path):
+        """A deployment missing one shard resumes through its store: a
+        full rerun against it is served every merged cell."""
         spec = spec_variant(2)
         full = Campaign(spec).run(workers=1)
-        parts = [Campaign(spec).run(workers=1, shard=(k, 3)) for k in (0, 2)]
+        store = tmp_path / "store"
+        parts = [
+            Campaign(spec).run(workers=1, shard=(k, 3), store=store)
+            for k in (0, 2)
+        ]
         merged = merge_campaign_results(parts)
         assert len(merged.cells) < len(full.cells)
-        resumed = Campaign(spec).run(workers=1, resume_from=merged)
+        resumed = Campaign(spec).run(workers=1, store=store)
         assert resumed.metrics() == full.metrics()
-        assert resumed.reused_cells == len(merged.cells)
+        assert resumed.store_hits == len(merged.cells)
 
     def test_merge_accounting_sums_and_maxima(self):
         spec = spec_variant(0)

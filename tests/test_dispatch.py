@@ -2,12 +2,12 @@
 
 The ISSUE 5 tentpole contract: a dispatched run -- over-partitioned
 shards on a work-stealing queue of subprocess slots, cost-aware ``lpt``
-partition, one injected mid-shard kill recovered through
-relaunch-with-``--resume`` -- must merge to a :class:`CampaignResult`
-bit-identical to the unsharded single-process run.  Also covers the
-real-kill path (a SIGKILLed subprocess leaves its checkpoint behind),
-attempt exhaustion, the ssh command template, and the
-``campaign-dispatch`` CLI round trip.
+partition, one injected mid-shard kill recovered by relaunching the same
+shard against the result store -- must merge to a
+:class:`CampaignResult` bit-identical to the unsharded single-process
+run.  Also covers the real-kill path (a SIGKILLed subprocess relaunches,
+with or without a store), attempt exhaustion, the split census, the ssh
+command template, and the ``campaign-dispatch`` CLI round trip.
 """
 
 from __future__ import annotations
@@ -64,14 +64,15 @@ class TestDispatchEquivalence:
         spec = make_spec()
         full = Campaign(spec).run(workers=1)
         assert full.chain_costs  # every run records its cost manifest now
+        work_dir = tmp_path / "wd"
         dispatcher = CampaignDispatcher(
             spec,
             shards=4,
             workers=2,
             partition="lpt",
             cost_manifest=full.chain_costs,
-            work_dir=tmp_path,
-            checkpoint_every=2,
+            work_dir=work_dir,
+            store=tmp_path / "store",
             # Shard 1 is SIGKILLed after 3 cells, on its first attempt.
             faults=FaultPlan([Fault(shard=1, kind="kill", at_cell=3)]),
         )
@@ -80,14 +81,15 @@ class TestDispatchEquivalence:
         assert report.result.spec == full.spec
         killed = next(s for s in report.shards if s.shard == 1)
         assert killed.attempts == 2
-        assert killed.resumed_attempts == 1  # recovered via --resume
+        # The relaunch was served what the killed attempt had stored.
+        assert report.result.store_hits > 0
         assert report.relaunches == 1
         # The queue really fed both slots.
         assert sum(report.shards_per_slot.values()) == len(
             [s for s in report.shards if s.chains > 0]
         )
-        # Checkpoints are cleaned up after shard completion.
-        assert not list(tmp_path.glob("*.part.json"))
+        # Shards write their result and heartbeat, no partial files.
+        assert not list(work_dir.glob("*.part.json"))
 
     @pytest.mark.dist
     def test_hash_dispatch_without_faults(self, tmp_path):
@@ -105,9 +107,9 @@ class TestDispatchEquivalence:
 class _KillOnLaunch(LocalBackend):
     """Backend that SIGKILLs selected shards' first attempt.
 
-    ``delay=None`` kills instantly (no partial output survives -- the
-    relaunch starts from scratch); a float delay lets the subprocess get
-    some checkpoint writes out first.
+    ``delay=None`` kills instantly (nothing is solved -- the relaunch
+    starts from scratch); a float delay lets the subprocess store some
+    cells first.
     """
 
     def __init__(self, victims: set[int], *, delay: float | None = None,
@@ -152,6 +154,8 @@ class TestFaultTolerance:
         assert report.result.metrics() == full.metrics()
         victim = next(s for s in report.shards if s.shard == 0)
         assert victim.attempts == 2
+        # Storeless: nothing survived the kill, the relaunch solved all.
+        assert report.result.store_hits == 0
 
     @pytest.mark.dist
     def test_attempts_exhausted_raises_dispatch_error(self, tmp_path):
@@ -165,21 +169,32 @@ class TestFaultTolerance:
             dispatcher.run()
         assert backend.kills == 2
 
-    def test_resume_source_prefers_final_over_checkpoint(self, tmp_path):
-        spec = make_spec(systems_per_cell=2)
-        dispatcher = CampaignDispatcher(
-            spec, shards=2, workers=1, work_dir=tmp_path
+    def test_split_census_is_a_store_membership_query(self, tmp_path):
+        """The census counts each chain's stored cells; without a store
+        it is empty, so every chain counts as unfinished."""
+        from repro.batch.dispatch import ShardRecord
+
+        spec = make_spec(systems_per_cell=3)
+        chain_plan = {c["index"]: c for c in spec.chains()}
+        record = ShardRecord(
+            shard=0, chains=3, expected_cells=12, estimated_cost=1.0,
+            chain_indices=[0, 1, 2],
         )
-        tmp_path.mkdir(exist_ok=True)
-        partial = Campaign(spec).run(workers=1, max_cells=2)
-        assert dispatcher._resume_source(0) is None
-        partial.save_json(dispatcher._checkpoint_path(0))
-        assert dispatcher._resume_source(0) == dispatcher._checkpoint_path(0)
-        partial.save_json(dispatcher._out_path(0))
-        assert dispatcher._resume_source(0) == dispatcher._out_path(0)
-        # A corrupt file is skipped, not trusted.
-        dispatcher._out_path(0).write_text("{garbage")
-        assert dispatcher._resume_source(0) == dispatcher._checkpoint_path(0)
+        storeless = CampaignDispatcher(
+            spec, shards=1, workers=1, work_dir=tmp_path / "a"
+        )
+        assert storeless._stored_cells(record, chain_plan) == {}
+        store = tmp_path / "store"
+        dispatcher = CampaignDispatcher(
+            spec, shards=1, workers=1, work_dir=tmp_path / "b", store=store,
+        )
+        assert dispatcher._stored_cells(record, chain_plan) == {
+            0: 0, 1: 0, 2: 0,
+        }
+        Campaign(spec).run(workers=1, chain_indices=[1], store=store)
+        assert dispatcher._stored_cells(record, chain_plan) == {
+            0: 0, 1: 4, 2: 0,
+        }
 
     def test_constructor_validation(self, tmp_path):
         spec = make_spec()
@@ -187,10 +202,14 @@ class TestFaultTolerance:
             {"shards": 0, "workers": 1},
             {"shards": 1, "workers": 0},
             {"shards": 1, "workers": 1, "max_attempts": 0},
-            {"shards": 1, "workers": 1, "checkpoint_every": 0},
         ):
             with pytest.raises(ValueError):
                 CampaignDispatcher(spec, work_dir=tmp_path, **kwargs)
+        with pytest.raises(TypeError, match="checkpoint_every"):
+            CampaignDispatcher(
+                spec, shards=1, workers=1, work_dir=tmp_path,
+                checkpoint_every=2,
+            )
         with pytest.raises(KeyError, match="unknown campaign method"):
             CampaignDispatcher(
                 make_spec(methods=("nope",)),
@@ -200,20 +219,19 @@ class TestFaultTolerance:
 
 class TestStaleWorkDir:
     """Reused work dirs (ISSUE 6 bugfix): files from a different spec
-    must be skipped, not resumed from or accepted as results."""
+    must never be accepted as results, and partial files written by
+    earlier versions are ignored."""
 
     @pytest.mark.dist
     def test_dirty_work_dir_completes_without_relaunches(self, tmp_path):
-        """Dispatch B into A's work dir: before the ownership check this
-        wedged -- every shard resumed from A's files, produced 'wrong'
-        output, and burned all max_attempts relaunches."""
+        """Dispatch B into A's work dir, whose shard outputs also sit at
+        the paths earlier versions wrote partial results to: every shard
+        of B completes on its first attempt."""
         spec_a = make_spec(systems_per_cell=2)
         spec_b = make_spec(systems_per_cell=2, seed=99)
         CampaignDispatcher(
             spec_a, shards=2, workers=1, work_dir=tmp_path
         ).run()
-        # A's shard outputs survive in the dir; also plant them as stale
-        # checkpoints at the exact paths B's shards will probe.
         for shard in range(2):
             out = tmp_path / f"shard{shard:04d}.json"
             assert out.exists()
@@ -229,24 +247,10 @@ class TestStaleWorkDir:
         assert report.relaunches == 0
         for record in report.shards:
             assert record.attempts == 1
-            assert record.resumed_attempts == 0
 
-    def test_resume_source_skips_foreign_spec(self, tmp_path):
-        spec_a = make_spec(systems_per_cell=2)
-        spec_b = make_spec(systems_per_cell=2, seed=99)
-        dispatcher = CampaignDispatcher(
-            spec_b, shards=2, workers=1, work_dir=tmp_path
-        )
-        foreign = Campaign(spec_a).run(workers=1, max_cells=2)
-        foreign.save_json(dispatcher._out_path(0))
-        foreign.save_json(dispatcher._checkpoint_path(0))
-        assert dispatcher._resume_source(0) is None
-        # Our own partial is still picked up next to the foreign files.
-        ours = Campaign(spec_b).run(workers=1, max_cells=2)
-        ours.save_json(dispatcher._checkpoint_path(0))
-        assert dispatcher._resume_source(0) == dispatcher._checkpoint_path(0)
+    def test_shard_complete_rejects_foreign_shard_designator(self, tmp_path):
+        from repro.batch.dispatch import ShardRecord
 
-    def test_resume_source_skips_foreign_shard_designator(self, tmp_path):
         spec = make_spec(systems_per_cell=2)
         dispatcher = CampaignDispatcher(
             spec, shards=2, workers=1, work_dir=tmp_path
@@ -254,8 +258,20 @@ class TestStaleWorkDir:
         # Same spec, but sharded 1/3 -- a leftover from a dispatch with a
         # different shard count; its cells are the wrong subset.
         other = Campaign(spec).run(workers=1, shard=(1, 3))
-        other.save_json(dispatcher._checkpoint_path(0))
-        assert dispatcher._resume_source(0) is None
+        other.save_json(dispatcher._out_path(0))
+        record = ShardRecord(
+            shard=0, chains=1, expected_cells=len(other.cells),
+            estimated_cost=0.0,
+        )
+        assert dispatcher._shard_complete(record) is None
+        # A sub-shard (``--chains``) result carries no designator; a
+        # planned shard's never is one.
+        unsharded = Campaign(spec).run(workers=1, chain_indices=[0])
+        unsharded.save_json(dispatcher._out_path(0))
+        record.expected_cells = len(unsharded.cells)
+        assert dispatcher._shard_complete(record) is None
+        record.parent = 1
+        assert dispatcher._shard_complete(record) is not None
 
     def test_shard_complete_rejects_foreign_spec(self, tmp_path):
         from repro.batch.dispatch import ShardRecord
@@ -282,42 +298,50 @@ class TestStaleWorkDir:
 
 
 class TestParentFormatCheckpoint:
-    @pytest.mark.dist
-    def test_checkpoint_with_ring_counters_is_resumed(self, tmp_path):
-        """A shard checkpoint written before the shared-memory ring was
-        removed (it carries ``shm_records``/``shm_overflow``) is still a
-        valid resume source."""
-        spec = make_spec()
-        full = Campaign(spec).run(workers=1)
-        dispatcher = CampaignDispatcher(
-            spec, shards=2, workers=1, work_dir=tmp_path, checkpoint_every=2
-        )
-        old = Campaign(spec).run(workers=1, shard=(0, 2), max_cells=3)
+    """Earlier versions left partial results at ``shard*.part.json`` in
+    the work dir; a dispatch into that dir ignores them."""
+
+    @staticmethod
+    def _plant(dispatcher, spec, **dumps):
+        old = Campaign(spec).run(workers=1, shard=(0, 2))
         data = old.to_dict()
-        data.update(shm_records=3, shm_overflow=0)
-        dispatcher._checkpoint_path(0).write_text(json.dumps(data))
-        report = dispatcher.run()
-        assert report.result.metrics() == full.metrics()
-        assert report.result.reused_cells == 3
-        resumed = next(s for s in report.shards if s.shard == 0)
-        assert resumed.resumed_attempts == 1
+        data.update(
+            cells=data["cells"][:3], truncated=True, reused_cells=3,
+            shm_records=3, shm_overflow=0,
+        )
+        path = dispatcher.work_dir / "shard0000.part.json"
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(json.dumps(data, **dumps))
+        return path
 
     @pytest.mark.dist
-    def test_indented_checkpoint_is_resumed(self, tmp_path):
-        """Result files are compact now; a checkpoint written with the
-        former ``indent=2`` encoding is still a valid resume source."""
+    def test_checkpoint_with_ring_counters_is_ignored(self, tmp_path):
         spec = make_spec()
         full = Campaign(spec).run(workers=1)
         dispatcher = CampaignDispatcher(
-            spec, shards=2, workers=1, work_dir=tmp_path, checkpoint_every=2
+            spec, shards=2, workers=1, work_dir=tmp_path / "wd",
+            store=tmp_path / "store",
         )
-        old = Campaign(spec).run(workers=1, shard=(0, 2), max_cells=3)
-        dispatcher._checkpoint_path(0).write_text(
-            json.dumps(old.to_dict(), indent=2)
-        )
+        planted = self._plant(dispatcher, spec)
+        before = planted.read_text()
         report = dispatcher.run()
         assert report.result.metrics() == full.metrics()
-        assert report.result.reused_cells == 3
+        assert report.relaunches == 0
+        # Nothing was served: the partial is no recovery source.
+        assert report.result.store_hits == 0
+        assert planted.read_text() == before
+
+    @pytest.mark.dist
+    def test_indented_checkpoint_is_ignored(self, tmp_path):
+        spec = make_spec()
+        full = Campaign(spec).run(workers=1)
+        dispatcher = CampaignDispatcher(
+            spec, shards=2, workers=1, work_dir=tmp_path
+        )
+        self._plant(dispatcher, spec, indent=2)
+        report = dispatcher.run()
+        assert report.result.metrics() == full.metrics()
+        assert report.relaunches == 0
 
 
 class TestExitWake:
@@ -565,6 +589,18 @@ class TestCliDispatch:
         rc = cli_main(self.ARGS + ["--hosts", "telnet:alpha"])
         assert rc == 2
         assert "ssh:HOST" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("shards", [[], ["--shards", "4"]])
+    def test_zero_workers_error_names_workers(self, shards, capsys):
+        """The default shard count derives from --workers; a bad worker
+        count must be reported as such, not as ``shards must be >= 1``."""
+        args = [a for a in self.ARGS if a not in ("--shards", "4")]
+        args[args.index("--workers") + 1] = "0"
+        rc = cli_main(args + shards)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --workers must be >= 1")
+        assert "shards" not in err
 
     def test_spec_file_reproduces_flag_run(self, tmp_path):
         """--spec must describe the identical campaign the flags do (it

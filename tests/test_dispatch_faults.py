@@ -5,8 +5,9 @@ each cell boundary, hang forever, heartbeat drop, corrupt output JSON,
 exit nonzero -- must converge to a merged result bit-identical to the
 unsharded single-process run (counter pins included), leave zero child
 processes behind, and a hung shard must be detected and relaunched
-within one ``stall_after`` window.  Straggler splitting and graceful
-SIGINT shutdown ride the same harness.
+within one ``stall_after`` window.  The drills dispatch against a result
+store, so a relaunch is served what its predecessor solved.  Straggler
+splitting and graceful SIGINT shutdown ride the same harness.
 
 The subprocess scenarios are ``dist``-marked (multi-process, seconds
 each) and additionally ``faults``-marked so CI can run them as a
@@ -33,6 +34,7 @@ from repro.batch import (
     CampaignSpec,
     CopyBackTransport,
     DispatchError,
+    DispatchInterrupted,
     Fault,
     FaultPlan,
     HostHealth,
@@ -85,7 +87,7 @@ class _RecordingBackend(LocalBackend):
 def dispatch(spec, work_dir, faults=None, backend=None, **kwargs):
     kwargs.setdefault("shards", 2)
     kwargs.setdefault("workers", 2)
-    kwargs.setdefault("checkpoint_every", 1)
+    kwargs.setdefault("store", Path(work_dir) / "store")
     return CampaignDispatcher(
         spec, work_dir=work_dir, faults=faults, backend=backend, **kwargs
     ).run()
@@ -110,8 +112,10 @@ class TestFaultMatrix:
         victim = next(s for s in report.shards if s.shard == 0)
         assert victim.attempts == 2
         assert victim.attempt_outcomes == ["failed", "completed"]
-        # Any checkpointed progress is recovered through --resume.
-        assert victim.resumed_attempts == (1 if at_cell > 0 else 0)
+        # Progress made before the kill is served to the relaunch from
+        # the store.
+        if at_cell > 0:
+            assert report.result.store_hits > 0
         assert report.result.metrics() == single_run.metrics()
         backend.assert_all_reaped()
 
@@ -134,7 +138,7 @@ class TestFaultMatrix:
         # prefix plus at most one stall window plus poll slack -- far
         # under two windows.
         assert victim.attempt_walls[0] < 2 * stall_after
-        assert victim.resumed_attempts == 1  # cell 1 came from checkpoint
+        assert report.result.store_hits > 0  # its cells came from the store
         assert report.result.metrics() == single_run.metrics()
         backend.assert_all_reaped()
 
@@ -158,7 +162,7 @@ class TestFaultMatrix:
     ):
         """A shard that exits 0 leaving truncated JSON: the
         crash-consistent readers treat the file as absent and relaunch
-        (resuming from the intact checkpoint, never the damaged file)."""
+        (served every cell from the store, never the damaged file)."""
         backend = _RecordingBackend()
         report = dispatch(
             tiny_spec(), tmp_path, backend=backend,
@@ -166,7 +170,7 @@ class TestFaultMatrix:
         )
         victim = next(s for s in report.shards if s.shard == 0)
         assert victim.attempts == 2
-        assert victim.resumed_attempts == 1
+        assert report.result.store_hits == victim.expected_cells
         assert report.result.metrics() == single_run.metrics()
         backend.assert_all_reaped()
 
@@ -252,6 +256,30 @@ class TestStragglerSplitting:
         # A split is elasticity, not a failure: no relaunch counted.
         assert report.relaunches == 0
         assert report.result.metrics() == single.metrics()
+        # The chain the straggler finished before hanging was served.
+        assert report.result.store_hits >= 3
+        backend.assert_all_reaped()
+
+    def test_storeless_split_counts_every_chain_unfinished(self, tmp_path):
+        """Without a store nothing survives the straggler: every chain is
+        unfinished, re-partitioned and solved again."""
+        spec = tiny_spec(systems_per_cell=4)
+        single = Campaign(spec).run(workers=1)
+        backend = _RecordingBackend()
+        report = dispatch(
+            spec, tmp_path, backend=backend, store=None,
+            shards=1, workers=2, split_after=0.2,
+            faults=FaultPlan([Fault(shard=0, kind="hang", at_cell=1)]),
+        )
+        subs = [s for s in report.shards if s.parent is not None]
+        # Two groups (one idle slot plus the freed one), each carrying
+        # the estimated cost of its whole, unsolved chains.
+        assert len(subs) == 2
+        assert sum(s.estimated_cost for s in subs) == pytest.approx(
+            next(s for s in report.shards if s.shard == 0).estimated_cost
+        )
+        assert report.result.store_hits == 0
+        assert report.result.metrics() == single.metrics()
         backend.assert_all_reaped()
 
     def test_single_unfinished_chain_is_not_split(self, tmp_path):
@@ -309,9 +337,11 @@ class TestGracefulShutdown:
     def test_sigint_terminates_children_and_leaves_resumable_dir(
         self, tmp_path
     ):
-        """SIGINT mid-dispatch: exit nonzero, merged partial saved, work
-        dir resumable, zero orphaned subprocesses."""
+        """SIGINT mid-dispatch: exit nonzero, merged partial saved, the
+        store named as what a re-dispatch recovers from, zero orphaned
+        subprocesses."""
         work_dir = tmp_path / "wd"
+        store = tmp_path / "store"
         env = dict(os.environ)
         import repro
 
@@ -328,8 +358,8 @@ class TestGracefulShutdown:
             "--grid", "utilization=0.2,0.4,0.5,0.6,0.7,0.8,0.9",
             "--transactions", "2", "--tasks", "1,2", "--platforms", "2",
             "--systems", "8", "--methods", "gauss_seidel", "--seed", "5",
-            "--workers", "2", "--shards", "4", "--checkpoint-every", "1",
-            "--work-dir", str(work_dir),
+            "--workers", "2", "--shards", "4",
+            "--work-dir", str(work_dir), "--store", str(store),
         ]
         proc = subprocess.Popen(
             argv, env=env, stdout=subprocess.PIPE,
@@ -356,7 +386,7 @@ class TestGracefulShutdown:
                 proc.wait()
         assert proc.returncode == 1
         assert "interrupted" in err
-        assert "resumable" in err
+        assert f"result store {store} holds every solved cell" in err
         # The merged partial is a loadable result for the same spec.
         partial = CampaignResult.load_json(work_dir / "partial.json")
         spec_dict = json.loads((work_dir / "spec.json").read_text())
@@ -489,7 +519,9 @@ class TestCopyBackDispatch:
         victim = next(s for s in report.shards if s.shard == 0)
         assert victim.attempt_outcomes == ["transport", "completed"]
         assert victim.transport_failures >= 1
-        assert victim.resumed_attempts == 1  # checkpoint still came home
+        # The store is shared storage, not a copy-back: the relaunch is
+        # served every cell the first attempt solved.
+        assert report.result.store_hits == victim.expected_cells
         assert report.transport["failures"] >= 1
         assert report.result.metrics() == single_run.metrics()
         backend.assert_all_reaped()
@@ -836,6 +868,32 @@ class TestRecoveryPolicy:
                 CampaignDispatcher(
                     spec, shards=1, workers=1, work_dir=tmp_path, **kwargs
                 )
+
+    @pytest.mark.parametrize("with_store", [True, False])
+    def test_interrupt_message_names_the_store(self, tmp_path, with_store):
+        """The interrupt names the store a re-dispatch recovers from, and
+        claims nothing is recoverable without one."""
+
+        class _Interrupting(LocalBackend):
+            def launch(self, argv, *, slot, log_path, env=None):
+                raise KeyboardInterrupt
+
+        store = tmp_path / "store" if with_store else None
+        dispatcher = CampaignDispatcher(
+            tiny_spec(), shards=2, workers=1, work_dir=tmp_path / "wd",
+            store=store, backend=_Interrupting(),
+        )
+        with pytest.raises(DispatchInterrupted) as exc:
+            dispatcher.run()
+        text = str(exc.value)
+        assert "resumable" not in text
+        if with_store:
+            assert f"result store {store} holds every solved cell" in text
+        else:
+            assert "no result store was given" in text
+            assert "solves every cell again" in text
+        partial = CampaignResult.load_json(tmp_path / "wd" / "partial.json")
+        assert partial.cells == []
 
     def test_heartbeat_interval_capped_by_stall_window(self, tmp_path):
         dispatcher = CampaignDispatcher(

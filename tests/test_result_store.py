@@ -660,9 +660,9 @@ class TestCampaignStore:
 
 class TestSaveJsonDurability:
     def test_save_json_fsyncs_before_replace(self, tmp_path, monkeypatch):
-        # Regression (ISSUE 6): the atomic-rename checkpoint write must
-        # fsync the temp file first, or a crash can leave a zero-length
-        # "complete" checkpoint that wedges resume.
+        # Regression: the atomic-rename result write must fsync the temp
+        # file first, or a crash can leave a zero-length "complete"
+        # result file behind.
         import os
 
         events = []
@@ -675,7 +675,7 @@ class TestSaveJsonDurability:
             "replace",
             lambda a, b: (events.append("replace"), real_replace(a, b)),
         )
-        result = Campaign(small_spec()).run(workers=1, max_cells=2)
+        result = Campaign(small_spec()).run(workers=1)
         path = result.save_json(tmp_path / "out.json")
         assert "fsync" in events
         assert events.index("fsync") < events.index("replace")

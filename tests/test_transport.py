@@ -90,7 +90,7 @@ class TestCopyBackRoundTrip:
         # The cache is per (host, name): beta still gets its own push.
         assert t.stage_out("beta", "spec.json")
         assert t.stats()["pushes"] == 2
-        # A changed source (fresher resume checkpoint) is re-pushed.
+        # A changed source is re-pushed.
         (local / "spec.json").write_text("v2")
         assert t.stage_out("alpha", "spec.json")
         assert (hosts["alpha"] / "spec.json").read_text() == "v2"

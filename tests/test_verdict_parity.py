@@ -13,8 +13,8 @@ may ever flip a verdict.  This suite pins that contract:
   along every precedence chain, and verdicts are monotone along a
   utilization-scaled chain;
 * campaign-level parity through the pruning/bisection path, the sharded
-  path and truncate-plus-resume (including the inferred-verdict provenance
-  extras);
+  path and a rerun of a truncated run against its result store
+  (including the inferred-verdict provenance extras);
 * pins that exact-mode accounting is unchanged from PR 3 (the verdict
   machinery must be invisible when ``mode="exact"``).
 """
@@ -537,35 +537,30 @@ class TestCampaignPruning:
             merged = merge_campaign_results(shards)
             assert merged.metrics() == full.metrics()
 
-    def test_truncate_resume_verdicts_identical(self):
-        campaign = Campaign(
-            CampaignSpec(methods=("verdict",), **CAMPAIGN_KW)
-        )
-        full = campaign.run(workers=1)
-        n = len(full.cells)
-        for cut in (3, n // 3, n // 2, n - 5):
-            partial = campaign.run(workers=1, max_cells=cut)
-            assert partial.truncated
-            resumed = campaign.run(workers=1, resume_from=partial)
-            assert _verdict_map(resumed) == _verdict_map(full), cut
-            assert resumed.reused_cells == cut
+    def test_truncate_resume_verdicts_identical(self, tmp_path):
+        """A run truncated after ``cut`` cells left those cells in its
+        store; the rerun against it agrees with the full run on every
+        verdict -- and on every other field but ``time_s``, since a
+        served probe steers the bisection exactly as its solve did."""
+        from repro.batch.campaign import chain_store_digests
 
-    def test_resume_prefix_miss_infers_suffix(self):
-        """A reused prefix that already contains a miss must let the chain
-        skip every remaining probe (resume_unsched) -- and still agree."""
-        campaign = Campaign(
-            CampaignSpec(methods=("verdict",), systems_per_cell=2, **{
-                k: v for k, v in CAMPAIGN_KW.items()
-                if k != "systems_per_cell"
-            })
-        )
+        spec = CampaignSpec(methods=("verdict",), **CAMPAIGN_KW)
+        campaign = Campaign(spec)
         full = campaign.run(workers=1)
-        # Cut deep enough that some chain's completed prefix includes its
-        # unschedulable threshold level.
-        partial = campaign.run(workers=1, max_cells=len(full.cells) - 3)
-        assert any(not c.schedulable for c in partial.cells)
-        resumed = campaign.run(workers=1, resume_from=partial)
-        assert _verdict_map(resumed) == _verdict_map(full)
+        digests = [
+            d for chain in spec.chains()
+            for d in chain_store_digests(spec, chain)
+        ]
+        n = len(full.cells)
+        store = tmp_path / "store"
+        for cut in (3, n // 3, n // 2, n - 5):
+            campaign.run(workers=1, store=store)
+            for digest in digests[cut:]:
+                (store / digest[:2] / f"{digest}.json").unlink()
+            resumed = campaign.run(workers=1, store=store)
+            assert _verdict_map(resumed) == _verdict_map(full), cut
+            assert resumed.metrics() == full.metrics(), cut
+            assert resumed.store_misses > 0
 
     def test_pool_and_inline_agree_on_pruned_cells(self):
         campaign = Campaign(

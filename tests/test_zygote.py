@@ -349,7 +349,6 @@ class TestDispatchThroughZygote:
         backend = _ZygoteKiller()
         report = CampaignDispatcher(
             spec, shards=4, workers=2, work_dir=tmp_path, backend=backend,
-            checkpoint_every=1,
             # Shard 0 holds its slot, so the zygote dies under a live shard.
             faults=FaultPlan([Fault(shard=0, kind="hang", at_cell=1)]),
         ).run()
