@@ -1,11 +1,17 @@
 """Start-up cost of the package's entry points and of a dispatched shard.
 
 A dispatched shard's fixed cost is what it pays before its first cell.
-Local shards fork from one warm per-dispatch zygote
+Local shards fork from one warm zygote per process
 (:mod:`repro.batch.zygote`), which pays interpreter start and the
-campaign engine's imports once; ssh shards, and local shards before the
-zygote, are fresh ``python -m repro campaign --shard k/n`` processes.
-This benchmark times both.  Fresh interpreters, spawn to exit:
+campaign engine's imports once: the process's first local dispatch
+starts it, later dispatches fork from it while the interpreter, cwd,
+start env and preload list stay the same (otherwise, or once it died,
+they start a fresh one), and it closes at interpreter exit.  Idle, it
+holds one interpreter's RSS; its ``zygote.log`` stays in the first
+dispatch's work dir; a process that dispatches once still pays one
+start.  ssh shards, and local shards before the zygote, are fresh
+``python -m repro campaign --shard k/n`` processes.  This benchmark
+times both.  Fresh interpreters, spawn to exit:
 
 * ``python`` -- ``python -c pass``, the interpreter's own floor;
 * ``import_repro`` -- ``python -c "import repro"``;
@@ -20,20 +26,24 @@ networkx were imported -- counted once, in a separate run that dumps
 ``sys.modules`` at exit, so the count never perturbs the walls.  Timed
 inside a helper interpreter (its own start excluded):
 
-* ``zygote_start`` -- a zygote's start, from launch to ready;
+* ``zygote_start`` -- a zygote's start, from :func:`zygote.acquire
+  <repro.batch.zygote.acquire>` to ready;
 * ``forked_shard`` -- the same one-chain shard forked from that warm
   zygote, launch to exit, next to the cold ``shard``;
 * ``zygote_close`` -- :meth:`Zygote.close` once that shard has exited,
-  the wait every dispatch ends with;
+  the wait the interpreter's exit hook adds;
 * ``dispatch_4x2`` -- ``CampaignDispatcher.run()`` with 4 shards on 2
   local slots over the shard's spec at 4 replicates (one chain per
-  shard), zygote start included, polling every 50 ms.
+  shard), zygote start included, polling every 50 ms;
+* ``dispatch_4x2_warm`` -- a second such dispatch in the same helper
+  interpreter, which forks from the zygote the first one started (a
+  tree whose zygote lives for one dispatch starts another).
 
 Each wall is the median of interleaved repeats (command by command, so
 every command samples the same machine phases).  ``--baseline DIR``
 times another checkout's ``DIR/src`` interleaved with this one and
 records its numbers and the speedups beside them; a tree without a
-zygote records only ``dispatch_4x2`` of the four launch walls.  The
+zygote records only the two dispatch walls of the five launch walls.  The
 interpreter's own settings are inherited, not overridden; whether it
 writes bytecode caches is recorded, because without them every cold
 start compiles the package's sources again.
@@ -78,14 +88,16 @@ _DUMP_IMPORT = "import json, sys, {module}; print(json.dumps(sorted(sys.modules)
 
 #: Starts a zygote, forks ``python -m repro ARGS`` from it, closes it,
 #: and prints ``[start, launch-to-exit, close]`` seconds; argv[1] is the
-#: work dir.
+#: work dir.  A tree whose zygote lives for one dispatch has no
+#: ``acquire``: its zygote is constructed directly.
 _ZYGOTE = """
 import json, os, sys, time
 from pathlib import Path
-from repro.batch.zygote import Zygote
+from repro.batch import zygote as z
 work = Path(sys.argv[1])
+start = getattr(z, "acquire", z.Zygote)
 t0 = time.perf_counter()
-zygote = Zygote(dict(os.environ), work / "zygote.log")
+zygote = start(dict(os.environ), work / "zygote.log")
 t1 = time.perf_counter()
 proc = zygote.launch([sys.executable, "-m", "repro", *sys.argv[2:]],
                      dict(os.environ), work / "forked.log")
@@ -97,7 +109,8 @@ assert code == 0, code
 print(json.dumps([t1 - t0, t2 - t1, t3 - t2]))
 """
 
-#: Prints the wall of a 4-shard, 2-slot dispatch into work dir argv[1].
+#: Prints the walls of two 4-shard, 2-slot dispatches in a row, into
+#: work dirs under argv[1]: ``[cold, warm]``.
 _DISPATCH = """
 import json, sys, time
 from repro.batch import CampaignDispatcher, CampaignSpec, linspace_levels
@@ -107,15 +120,20 @@ spec = CampaignSpec(
           "tasks_per_transaction": (2, 4)},
     methods=("verdict",), systems_per_cell=4, seed=11,
 )
-t0 = time.perf_counter()
-CampaignDispatcher(spec, shards=4, workers=2, work_dir=sys.argv[1],
-                   poll_interval=0.05, poll_max=0.05).run()
-print(json.dumps(time.perf_counter() - t0))
+walls = []
+for run in ("cold", "warm"):
+    t0 = time.perf_counter()
+    CampaignDispatcher(spec, shards=4, workers=2,
+                       work_dir=f"{sys.argv[1]}_{run}",
+                       poll_interval=0.05, poll_max=0.05).run()
+    walls.append(time.perf_counter() - t0)
+print(json.dumps(walls))
 """
 
 #: The launch walls, and whether a tree without a zygote has them.
 LAUNCHES = {"zygote_start": False, "forked_shard": False,
-            "zygote_close": False, "dispatch_4x2": True}
+            "zygote_close": False, "dispatch_4x2": True,
+            "dispatch_4x2_warm": True}
 
 
 def _commands(work: Path) -> dict[str, tuple[list[str], list[str]]]:
@@ -233,9 +251,9 @@ def measure(trees: dict[str, Path], repeats: int) -> dict[str, dict]:
                     walls[tree]["zygote_close"].append(close)
             for tree, src in trees.items():
                 wd = str(work / f"dispatch_{tree}_{k}")
-                walls[tree]["dispatch_4x2"].append(
-                    _timed(_DISPATCH, [wd], src)
-                )
+                cold, warm = _timed(_DISPATCH, [wd], src)
+                walls[tree]["dispatch_4x2"].append(cold)
+                walls[tree]["dispatch_4x2_warm"].append(warm)
         return {
             tree: {
                 **{
@@ -281,8 +299,8 @@ def main(argv=None) -> int:
     payload = {
         "description": "fresh-interpreter walls (median of interleaved "
         "repeats, spawn to exit) and loaded-module counts of the entry "
-        "points, plus zygote start, forked-shard, zygote close and 4x2 "
-        "dispatch walls; see benchmarks/bench_startup.py",
+        "points, plus zygote start, forked-shard, zygote close and cold "
+        "and warm 4x2 dispatch walls; see benchmarks/bench_startup.py",
         "python": platform.python_version(),
         "cpu": _cpu_model(),
         "cpus": os.cpu_count(),
@@ -306,7 +324,7 @@ def main(argv=None) -> int:
                 if "modules" in record else ""
             )
             print(
-                f"{tree:8s} {name:12s} {record['wall_s'] * 1e3:8.1f} ms "
+                f"{tree:8s} {name:17s} {record['wall_s'] * 1e3:8.1f} ms "
                 f"(IQR {record['wall_s_iqr'] * 1e3:5.1f}){loaded}"
             )
     print(f"written {args.out}")

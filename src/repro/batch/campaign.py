@@ -2085,6 +2085,8 @@ ProcessPoolExecutor` to run chain chunks on instead of creating (and
         try:
             if beat is not None:
                 beat.start()
+            if worker_faults is not None:
+                worker_faults.fire(0, beat)  # a fault at cell 0: no work yet
             if workers == 1 or len(chains) <= 1:
                 for chain in chains:
                     consume(_run_chain(self.spec, chain, store_obj))

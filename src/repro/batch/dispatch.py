@@ -74,9 +74,15 @@ Every shard attempt is one ``python -m repro campaign --spec ...
 no flags, so every shard collects its cells) and launched through a
 pluggable *backend*.
 :class:`LocalBackend` (the local host, the tested default) runs it in a
-child forked from one warm per-dispatch zygote
+child forked from one warm zygote per process
 (:mod:`repro.batch.zygote`), so a shard skips interpreter start-up and
-the campaign engine's imports; :class:`SshBackend` (a thin command
+the campaign engine's imports.  The process's first local dispatch
+starts the zygote and later ones fork from it while the interpreter,
+cwd, env and preload list stay the same (a change, or its death, gets a
+fresh one); it closes at interpreter exit.  Idle, it holds one
+interpreter's RSS, and its ``zygote.log`` stays in the first dispatch's
+work dir.  A process that dispatches once still pays one zygote start.
+:class:`SshBackend` (a thin command
 template prefixing ``ssh <host>`` per worker slot; it is trivially
 mockable in tests) runs it as a subprocess.  Either way an attempt is
 one killable process with its own pid, log and exit status.  The CLI
@@ -117,6 +123,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
+from repro.batch import zygote
 from repro.batch.campaign import (
     Campaign,
     CampaignResult,
@@ -300,18 +307,23 @@ class DispatchReport:
 
 
 class LocalBackend:
-    """Fork shard commands on the local host from one warm zygote.
+    """Fork shard commands on the local host from the process's zygote.
 
-    The first launch starts a :class:`~repro.batch.zygote.Zygote` (its
-    log is ``zygote.log`` beside the shard logs) that imports a shard's
-    module set once; every launch forks a child of it that runs the
-    ``python -m repro ...`` command line in-process and returns a
-    Popen-shaped :class:`~repro.batch.zygote.ForkedShard`.
-    :meth:`close` shuts the zygote down; a closed backend, or one whose
-    zygote died, starts a new one on its next launch.
+    The first launch acquires the process's
+    :class:`~repro.batch.zygote.Zygote` through
+    :func:`repro.batch.zygote.acquire`, which starts one (logging to
+    ``zygote.log`` beside the shard logs) only if no matching zygote is
+    up.  It imports a shard's module set once; every launch forks a
+    child of it that runs the ``python -m repro ...`` command line
+    in-process and returns a Popen-shaped
+    :class:`~repro.batch.zygote.ForkedShard`.  :meth:`close` kills and
+    reaps the shards this backend launched and releases the zygote,
+    which stays up for the next dispatch; a backend whose zygote died
+    acquires a new one on its next launch.
     """
 
     _zygote: Zygote | None = None
+    _shards: tuple[ForkedShard, ...] = ()
 
     def host_of(self, slot: int) -> str:
         """Failure-domain label of a slot: all local slots share one."""
@@ -328,17 +340,31 @@ class LocalBackend:
     ) -> ForkedShard:
         del slot  # local slots are interchangeable
         if self._zygote is None or not self._zygote.alive:
-            self._zygote = Zygote(
+            self._release()
+            self._zygote = zygote.acquire(
                 _child_env(), Path(log_path).parent / "zygote.log"
             )
-        return self._zygote.launch(
+        proc = self._zygote.launch(
             argv, dict(os.environ) if env is None else env, log_path
         )
+        self._shards = (
+            *(p for p in self._shards if p.returncode is None), proc
+        )
+        return proc
 
     def close(self) -> None:
-        """Shut the zygote down, with any child it still holds."""
+        """Kill and reap this backend's running shards; release the
+        zygote."""
+        for proc in self._shards:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+        self._shards = ()
+        self._release()
+
+    def _release(self) -> None:
         if self._zygote is not None:
-            self._zygote.close()
+            zygote.release(self._zygote)
             self._zygote = None
 
 

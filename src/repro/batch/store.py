@@ -118,7 +118,8 @@ class ResultStore:
     ``get`` is defensive: unreadable, unparsable or identity-mismatched
     files read as misses (the cell is then simply re-solved).  ``put``
     is put-if-absent -- entries are immutable once written, matching the
-    content-addressed contract -- and raises :class:`OSError` if the
+    content-addressed contract, and a damaged entry counts as absent, so
+    the re-solved cell replaces it -- and raises :class:`OSError` if the
     store root is not writable, because silently running uncached would
     hide a misconfiguration.
     """
@@ -155,15 +156,17 @@ class ResultStore:
     def put(self, key: StoreKey, value: dict[str, Any]) -> bool:
         """Store *value* under *key* unless present; ``True`` if written.
 
-        The write is kill-safe: the payload is fsynced to a temp file
-        suffixed with the writer's pid and thread id, then renamed into
-        place, so a crash leaves either the complete entry or nothing --
-        never a torn file a later ``get`` could misread -- and concurrent
-        writers of one key, threads of one process included, never share
-        a temp file.
+        An entry :meth:`get` reads as a miss (empty, unparsable or
+        another key's) is not present: it is replaced, so a rerun that
+        solves the cell again repairs it.  The write is kill-safe: the
+        payload is fsynced to a temp file suffixed with the writer's pid
+        and thread id, then renamed into place, so a crash leaves either
+        the complete entry or nothing -- never a torn file a later
+        ``get`` could misread -- and concurrent writers of one key,
+        threads of one process included, never share a temp file.
         """
         path = self._path(key)
-        if path.exists():
+        if path.exists() and self.get(key) is not None:
             return False
         path.parent.mkdir(parents=True, exist_ok=True)
         tmp = path.with_name(

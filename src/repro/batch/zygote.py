@@ -8,17 +8,35 @@ each launch into a child that runs ``repro.cli.main(argv[3:])`` as
 appended to the launch's log, the launch env and cwd, default signal
 handlers, and a cold child's exit status (``-signum`` for a signal).
 
+One zygote per process, the lifetime ``multiprocessing``'s forkserver
+has.  :func:`acquire` starts it on the process's first local dispatch
+and hands the same one to every later caller whose start inputs match:
+the interpreter, the cwd, the start env and :data:`PRELOAD`.  A dead
+zygote is replaced on the next :func:`acquire`, and so is one started
+from other inputs.  A replaced zygote closes once its last caller has
+released it (:func:`release`), so a dispatch never loses the zygote
+under its running shards; the others close at interpreter exit.  An
+idle zygote costs one interpreter's RSS with :data:`PRELOAD` imported.
+Its log, ``zygote.log``, stays in the directory the first launch named
+(a dispatch's work dir), and it holds the zygote's own output only:
+each shard logs to its own file.  A process that dispatches once, such
+as ``python -m repro campaign-dispatch``, still pays one start.
+
 The zygote is single-threaded, ignores SIGINT and leads its own process
 group.  It reaps a child only when the launcher polls it, so a pid stays
 reserved until its owner has seen the exit and :meth:`ForkedShard.kill`
-can signal it directly.  On EOF it kills and reaps its children, then
-leaves through ``os._exit(0)`` after flushing stdio: interpreter
-teardown of the preloaded modules took most of :meth:`Zygote.close`,
-and nothing the zygote runs needs an exit hook.
+can signal it directly.  It exits when the channel closes or when the
+launcher process dies, whichever comes first: a child the launcher
+forked holds a copy of the channel, so EOF alone can come late.  On the
+way out it kills and reaps its children, then leaves through
+``os._exit(0)`` after flushing stdio: interpreter teardown of the
+preloaded modules took most of :meth:`Zygote.close`, and nothing the
+zygote runs needs an exit hook.
 """
 
 from __future__ import annotations
 
+import atexit
 import contextlib
 import importlib
 import multiprocessing
@@ -29,7 +47,7 @@ import sys
 import threading
 import time
 import traceback
-from multiprocessing.connection import Connection
+from multiprocessing.connection import Connection, wait
 from pathlib import Path
 
 #: What the zygote imports before its first fork: a shard's module set.
@@ -73,20 +91,32 @@ class ForkedShard:
 
 
 class Zygote:
-    """The launcher's end of one zygote process, logging to *log_path*."""
+    """The launcher's end of one zygote process, logging to *log_path*.
+
+    Started from *env* and the launcher's interpreter, cwd and
+    :data:`PRELOAD` (its :attr:`key`); closed at interpreter exit at the
+    latest.
+    """
 
     def __init__(self, env: dict, log_path: Path):
+        self.key = _start_key(env)
+        #: The process that started the zygote: only it may use or close
+        #: it (a forked child inherits the object, not the zygote).
+        self.owner = os.getpid()
+        #: :func:`acquire` calls not yet released.
+        self.users = 0
         self._conn, theirs = multiprocessing.Pipe()
         with open(log_path, "ab") as log:
             self._proc = subprocess.Popen(
                 [sys.executable, "-m", __name__, str(theirs.fileno()),
-                 *PRELOAD],
+                 str(self.owner), *PRELOAD],
                 stdin=subprocess.DEVNULL, stdout=log, stderr=log, env=env,
                 pass_fds=(theirs.fileno(),),
             )
         theirs.close()
         self.lock = threading.RLock()
         self.alive = True
+        atexit.register(self.close)
         ready = self._conn.poll(START_TIMEOUT)
         if not ready or self.request(None) != "ready":
             self.close()
@@ -119,10 +149,13 @@ class Zygote:
 
     def close(self) -> None:
         """Shut the zygote down; none of its children outlives it."""
+        if self.owner != os.getpid():
+            return
         with self.lock:
             if not self.alive:
                 return
             self.alive = False
+            atexit.unregister(self.close)
             self._conn.close()  # EOF: the zygote kills and reaps its children
             with contextlib.suppress(subprocess.TimeoutExpired):
                 self._proc.wait(2.0)
@@ -130,6 +163,47 @@ class Zygote:
                 os.killpg(self._proc.pid, signal.SIGKILL)  # whole group
             self._proc.kill()
             self._proc.wait()
+
+
+_lock = threading.Lock()
+#: The zygote :func:`acquire` hands out (the last one it started).
+_current: Zygote | None = None
+
+
+def _start_key(env: dict) -> tuple:
+    """What a zygote's imports depend on: interpreter, cwd (``-m`` puts it
+    on ``sys.path``), start env and :data:`PRELOAD`."""
+    return sys.executable, os.getcwd(), env, PRELOAD
+
+
+def acquire(env: dict, log_path: Path) -> Zygote:
+    """This process's zygote for start env *env*; :func:`release` it.
+
+    Starts one, logging to *log_path*, unless the current zygote is
+    alive, was started by this process and has this start key.  A
+    replaced zygote is closed here if no caller holds it, else by its
+    last :func:`release`.  Holds a lock while a zygote starts, so
+    concurrent callers share it.
+    """
+    global _current
+    with _lock:
+        stale = _current
+        if (stale is None or not stale.alive or stale.owner != os.getpid()
+                or stale.key != _start_key(env)):
+            _current = Zygote(env, log_path)
+            if stale is not None and stale.users == 0:
+                stale.close()
+        _current.users += 1
+        return _current
+
+
+def release(zygote: Zygote) -> None:
+    """Drop one :func:`acquire` of *zygote*; close it if it was replaced
+    and this was its last user."""
+    with _lock:
+        zygote.users -= 1
+        if zygote.users == 0 and zygote is not _current:
+            zygote.close()
 
 
 def _run_shard(request: dict, conn: Connection) -> int:
@@ -165,19 +239,26 @@ def _run_shard(request: dict, conn: Connection) -> int:
     return (code or 0) & 0xFF
 
 
-def serve(fd: int, preload) -> None:
-    """The zygote: ``python -m repro.batch.zygote FD MODULE...``."""
+def serve(fd: int, launcher: int, preload) -> None:
+    """The zygote: ``python -m repro.batch.zygote FD LAUNCHER MODULE...``."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     os.setpgid(0, 0)
     os.environ["OPENBLAS_NUM_THREADS"] = "1"  # or NumPy's import starts a pool
     for name in preload:
         importlib.import_module(name)
     conn, children = Connection(fd), set()
+    # The launcher's exit wakes the loop through a pidfd; without pidfds
+    # the loop checks its parent once a second.
+    watch = [conn]
+    with contextlib.suppress(AttributeError, OSError):
+        watch.append(os.pidfd_open(launcher))
     conn.send("ready")
-    while True:
+    while os.getppid() == launcher:
+        if conn not in wait(watch, None if len(watch) > 1 else 1.0):
+            continue
         try:
             request = conn.recv()
-        except EOFError:  # the launcher closed the channel, or died
+        except EOFError:  # the launcher closed the channel
             break
         if isinstance(request, int):  # a poll
             pid, status = os.waitpid(request, os.WNOHANG)
@@ -204,4 +285,4 @@ def serve(fd: int, preload) -> None:
 
 
 if __name__ == "__main__":
-    serve(int(sys.argv[1]), sys.argv[2:])
+    serve(int(sys.argv[1]), int(sys.argv[2]), sys.argv[3:])

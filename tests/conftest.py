@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import signal
+import subprocess
 
 import pytest
 
@@ -161,3 +162,23 @@ def within():
     run *seconds* (a SIGALRM timer, so a hang fails instead of wedging
     the suite)."""
     return _within
+
+
+@pytest.fixture
+def popen_calls(monkeypatch) -> list[list[str]]:
+    """The argv of every ``subprocess.Popen`` the test makes.  The test
+    starts without a shard zygote: the one an earlier test's dispatch
+    left up in this process is closed first."""
+    from repro.batch import zygote
+
+    if zygote._current is not None:
+        zygote._current.close()
+    started = []
+
+    class CountingPopen(subprocess.Popen):
+        def __init__(self, args, *rest, **kwargs):
+            started.append(list(args))
+            super().__init__(args, *rest, **kwargs)
+
+    monkeypatch.setattr(subprocess, "Popen", CountingPopen)
+    return started

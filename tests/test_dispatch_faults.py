@@ -113,9 +113,11 @@ class TestFaultMatrix:
         assert victim.attempts == 2
         assert victim.attempt_outcomes == ["failed", "completed"]
         # Progress made before the kill is served to the relaunch from
-        # the store.
+        # the store; a kill at cell 0 lands before any work.
         if at_cell > 0:
             assert report.result.store_hits > 0
+        else:
+            assert report.result.store_hits == 0
         assert report.result.metrics() == single_run.metrics()
         backend.assert_all_reaped()
 

@@ -258,9 +258,9 @@ STARTUP_FIELDS = {"argv", "wall_s", "wall_s_iqr", "samples", "modules",
                   "repro_modules", "numpy", "networkx"}
 
 #: Launch walls it times inside a helper interpreter.  The committed
-#: baseline tree has a zygote too, so it records all four.
+#: baseline tree has a zygote too, so it records all five.
 STARTUP_LAUNCHES = {"zygote_start", "forked_shard", "zygote_close",
-                    "dispatch_4x2"}
+                    "dispatch_4x2", "dispatch_4x2_warm"}
 BASELINE_LAUNCHES = STARTUP_LAUNCHES
 LAUNCH_FIELDS = {"wall_s", "wall_s_iqr", "samples"}
 

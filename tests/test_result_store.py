@@ -641,6 +641,27 @@ class TestCampaignStore:
         # Every miss was re-stored: the store is whole again.
         assert len(sorted(store.root.glob("??/*.json"))) == spec.n_analyses()
 
+    @pytest.mark.parametrize("damage", ["empty", "not_json", "foreign"])
+    def test_rerun_repairs_a_damaged_entry(self, tmp_path, damage):
+        # A damaged entry reads as a miss; the rerun that solves its cell
+        # again replaces it, so the next rerun serves every cell.
+        spec = small_spec()
+        store = ResultStore(tmp_path / "store")
+        cold = Campaign(spec).run(workers=1, store=store)
+        victim, donor = sorted(store.root.glob("??/*.json"))[:2]
+        victim.write_text(
+            {"empty": "", "not_json": "{not json",
+             "foreign": donor.read_text(encoding="utf-8")}[damage],
+            encoding="utf-8",
+        )
+        repairing = Campaign(spec).run(workers=1, store=store)
+        assert repairing.store_misses > 0
+        assert repairing.metrics() == cold.metrics()
+        served = Campaign(spec).run(workers=1, store=store)
+        assert served.store_hits == spec.n_analyses()
+        assert served.store_misses == 0
+        assert served.metrics() == cold.metrics()
+
     def test_store_accounting_surfaces(self, tmp_path):
         spec = small_spec()
         _, warm, _ = run_cold_warm(spec, tmp_path)

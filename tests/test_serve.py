@@ -648,22 +648,28 @@ class TestWarmPathDeterminism:
         assert pool["executor_started"] is True
 
     @pytest.mark.dist
-    def test_dispatch_backend_matches_pool(self, tmp_path):
-        """backend=dispatch rides CampaignDispatcher, same bytes out."""
+    def test_dispatch_backend_matches_pool(self, tmp_path, popen_calls):
+        """backend=dispatch rides CampaignDispatcher, same bytes out; a
+        second dispatch job forks from the first one's zygote."""
         inline = canonical_result_json(
             Campaign(CampaignSpec.from_dict(SPEC_DICT)).run(workers=1)
         )
+        bodies = []
         with make_client(
             tmp_path, dispatch_workers=2, dispatch_shards=2
         ) as client:
-            status, job_id = submit_and_wait(
-                client, {"spec": SPEC_DICT, "backend": "dispatch"},
-                timeout=120.0,
-            )
-            assert status["state"] == "done", status
-            assert status["backend"] == "dispatch"
-            body = client.get(f"/campaigns/{job_id}/result").body
-        assert body == inline
+            for _ in range(2):
+                status, job_id = submit_and_wait(
+                    client, {"spec": SPEC_DICT, "backend": "dispatch"},
+                    timeout=120.0,
+                )
+                assert status["state"] == "done", status
+                assert status["backend"] == "dispatch"
+                bodies.append(client.get(f"/campaigns/{job_id}/result").body)
+        assert bodies == [inline, inline]
+        assert [argv[1:3] for argv in popen_calls] == [
+            ["-m", "repro.batch.zygote"]
+        ]
 
 
 class TestAdmissionControl:

@@ -1,11 +1,20 @@
 """The zygote launch path: a forked shard behaves like ``python -m repro``.
 
-``LocalBackend`` forks every shard from one warm per-dispatch zygote
-(:mod:`repro.batch.zygote`).  These tests pin its contract against a
-cold interpreter: exit statuses, env, cwd, stdio, ``wait(timeout)``,
-shutdown with no survivors, bounded start failures, recovery when the
-zygote dies, a single-threaded zygote, one interpreter per dispatch, and
-concurrent kills and polls.
+``LocalBackend`` forks every shard from one warm zygote per process
+(:mod:`repro.batch.zygote`): the first local dispatch starts it, later
+ones fork from it while the interpreter, cwd, start env and preload list
+match, and it closes at interpreter exit.  These tests pin its contract
+against a cold interpreter: exit statuses, env, cwd, stdio,
+``wait(timeout)``, shutdown with no survivors, bounded start failures,
+recovery when the zygote dies, a single-threaded zygote, and concurrent
+kills and polls.  They pin its lifetime too: one interpreter for two
+dispatches, and for two threads dispatching at once; a backend's close
+reaps only its own shards; changed start inputs get a fresh zygote and
+close the stale one once nothing uses it; and an owner's death leaves
+nothing alive, even while a child it forked holds the channel.  An idle
+zygote costs one interpreter's RSS; its ``zygote.log`` stays in the
+work dir of the dispatch that started it; a process that dispatches
+once still pays one start.
 """
 
 from __future__ import annotations
@@ -217,14 +226,70 @@ class TestLifetime:
         ]
         zpid = backend._zygote._proc.pid
         assert all(_alive(p.pid) for p in procs) and _alive(zpid)
-        backend.close()
+        backend._zygote.close()  # what the exit hook runs
         assert not any(_alive(pid) for pid in (zpid, *(p.pid for p in procs)))
         assert [p.poll() for p in procs] == [-signal.SIGKILL] * 2
-        # A closed backend starts a fresh zygote on its next launch.
+        # A closed zygote is replaced on the next launch.
         again = _launch(backend, tmp_path, ["--help"])
         assert again.wait(timeout=60) == 0
         assert backend._zygote._proc.pid != zpid
         backend.close()
+
+    def test_backend_close_reaps_only_its_shards(self, tmp_path):
+        ours, theirs = LocalBackend(), LocalBackend()
+        env = dict(_child_env(), **{FAULT_ENV: HANG})
+        try:
+            mine, other = (
+                _launch(b, tmp_path, _campaign(str(tmp_path / f"{n}.json")),
+                        env=env, name=n)
+                for b, n in ((ours, "ours"), (theirs, "theirs"))
+            )
+            z, users = ours._zygote, ours._zygote.users
+            assert theirs._zygote is z
+            ours.close()
+            assert mine.returncode == -signal.SIGKILL
+            assert _stat(mine.pid) is None  # killed and reaped
+            assert _alive(other.pid) and _alive(z._proc.pid)
+            assert ours._zygote is None and z.users == users - 1
+            # The next dispatch forks from the same zygote.
+            assert _launch(ours, tmp_path, ["--help"]).wait(timeout=60) == 0
+            assert ours._zygote is z
+        finally:
+            ours.close()
+            theirs.close()
+        assert other.returncode == -signal.SIGKILL
+        assert z.alive and z is zygote._current and z.users == users - 2
+
+    @pytest.mark.parametrize("change", ["env", "preload"])
+    def test_changed_start_inputs_replace_the_zygote(
+        self, tmp_path, monkeypatch, change
+    ):
+        idle, busy = LocalBackend(), LocalBackend()
+        hung = _launch(busy, tmp_path, _campaign(str(tmp_path / "h.json")),
+                       env=dict(_child_env(), **{FAULT_ENV: HANG}), name="h")
+        stale = busy._zygote
+        if change == "env":
+            monkeypatch.setenv("REPRO_ZYGOTE_TEST", "1")
+        else:
+            monkeypatch.setattr(zygote, "PRELOAD", (*zygote.PRELOAD, "json"))
+        try:
+            assert _launch(idle, tmp_path, ["--help"]).wait(timeout=60) == 0
+            fresh = idle._zygote
+            assert fresh is zygote._current and fresh is not stale
+            # The stale zygote still runs the busy backend's shard ...
+            assert stale.alive and _alive(hung.pid)
+            assert hung.poll() is None
+        finally:
+            busy.close()
+            idle.close()
+        # ... and closes with its last user.
+        assert not stale.alive and stale._proc.returncode is not None
+        assert not _alive(hung.pid)
+        # An idle zygote closes as soon as it is replaced.
+        monkeypatch.undo()
+        assert _launch(idle, tmp_path, ["--help"]).wait(timeout=60) == 0
+        idle.close()
+        assert not fresh.alive and fresh._proc.returncode is not None
 
     def test_close_skips_interpreter_teardown(self, tmp_path, monkeypatch):
         # A preloaded module's exit hook: it would run in an interpreter
@@ -249,19 +314,27 @@ class TestLifetime:
         assert not any(_alive(pid) for pid in (z._proc.pid, shard.pid))
 
     def test_killed_owner_leaves_nothing_alive(self, tmp_path):
+        # The owner's fork-started pool worker holds a copy of the
+        # channel, so the zygote sees no EOF: it must watch the owner.
         owner = subprocess.Popen(
             [sys.executable, "-c", _OWNER, str(tmp_path)],
             env=dict(_child_env(), **{FAULT_ENV: HANG}),
             stdout=subprocess.PIPE, text=True,
         )
+        worker = None
         try:
-            pids = json.loads(owner.stdout.readline())
-            assert all(_alive(pid) for pid in pids)
+            *pids, worker = json.loads(owner.stdout.readline())
+            assert all(_alive(pid) for pid in (*pids, worker))
         finally:
             owner.kill()
             owner.wait()
             owner.stdout.close()
-        assert _wait_until(lambda: not any(_alive(pid) for pid in pids))
+        try:
+            assert _wait_until(lambda: not any(_alive(pid) for pid in pids))
+            assert _alive(worker)  # the channel's holder outlived them
+        finally:
+            if worker is not None:
+                os.kill(worker, signal.SIGKILL)
 
     def test_failed_preload_raises_within_bound(self, tmp_path, monkeypatch):
         monkeypatch.setattr(zygote, "PRELOAD", ("repro.no_such_module",))
@@ -298,10 +371,12 @@ class TestLifetime:
             z.close()
 
 
-#: Owns a backend with one hung shard, prints ``[zygote, shard]`` pids,
-#: then waits to be SIGKILLed.
+#: Owns a backend with one hung shard and a fork-started pool worker,
+#: prints ``[zygote, shard, worker]`` pids, then waits to be SIGKILLed.
 _OWNER = """
-import json, sys, time
+import json, os, sys, time
+from concurrent.futures import ProcessPoolExecutor
+from multiprocessing import get_context
 from pathlib import Path
 from repro.batch import LocalBackend
 from repro.batch.dispatch import _child_env
@@ -312,7 +387,9 @@ proc = backend.launch(
      "--systems", "1", "--workers", "1", "--json", str(work / "o.json")],
     slot=0, log_path=work / "owned.log", env=_child_env(),
 )
-print(json.dumps([backend._zygote._proc.pid, proc.pid]), flush=True)
+pool = ProcessPoolExecutor(1, mp_context=get_context("fork"))
+worker = pool.submit(os.getpid).result()
+print(json.dumps([backend._zygote._proc.pid, proc.pid, worker]), flush=True)
 time.sleep(600)
 """
 
@@ -359,24 +436,52 @@ class TestDispatchThroughZygote:
         assert backend._zygote is None  # closed by the dispatcher
 
     def test_dispatch_starts_exactly_one_interpreter(
-        self, tmp_path, monkeypatch
+        self, tmp_path, popen_calls
+    ):
+        # Two dispatches in one process: the second forks from the
+        # zygote the first started.
+        spec = _spec()
+        single = Campaign(spec).run(workers=1)
+        for k in range(2):
+            report = CampaignDispatcher(
+                spec, shards=4, workers=2, work_dir=tmp_path / f"wd{k}"
+            ).run()
+            assert report.result.metrics() == single.metrics()
+        assert len(popen_calls) == 1
+        assert popen_calls[0][1:3] == ["-m", "repro.batch.zygote"]
+        assert (tmp_path / "wd0" / "zygote.log").exists()
+        assert not (tmp_path / "wd1" / "zygote.log").exists()
+        assert zygote._current.alive and zygote._current.users == 0
+
+    def test_threads_dispatching_at_once_share_one_zygote(
+        self, tmp_path, popen_calls
     ):
         spec = _spec()
         single = Campaign(spec).run(workers=1)
-        started = []
+        barrier = threading.Barrier(2, timeout=30)
+        results, errors = {}, []
 
-        class CountingPopen(subprocess.Popen):
-            def __init__(self, args, *rest, **kwargs):
-                started.append(list(args))
-                super().__init__(args, *rest, **kwargs)
+        def run(k: int) -> None:
+            try:
+                barrier.wait()
+                results[k] = CampaignDispatcher(
+                    spec, shards=4, workers=2, work_dir=tmp_path / f"wd{k}"
+                ).run().result
+            except Exception as exc:  # noqa: BLE001 - collected
+                errors.append(exc)
 
-        monkeypatch.setattr(subprocess, "Popen", CountingPopen)
-        report = CampaignDispatcher(
-            spec, shards=4, workers=2, work_dir=tmp_path
-        ).run()
-        assert report.result.metrics() == single.metrics()
-        assert len(started) == 1
-        assert started[0][1:3] == ["-m", "repro.batch.zygote"]
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+            assert not thread.is_alive()
+        assert errors == []
+        assert [r.metrics() for r in results.values()] == [
+            single.metrics()
+        ] * 2
+        assert len(popen_calls) == 1
+        assert zygote._current.users == 0
 
 
 def test_concurrent_kills_and_polls(tmp_path):
