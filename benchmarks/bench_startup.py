@@ -7,9 +7,9 @@ campaign engine's imports once: the process's first local dispatch
 starts it, later dispatches fork from it while the interpreter, cwd,
 start env and preload list stay the same (otherwise, or once it died,
 they start a fresh one), and it closes at interpreter exit.  Idle, it
-holds one interpreter's RSS; its ``zygote.log`` stays in the first
-dispatch's work dir; a process that dispatches once still pays one
-start.  ssh shards, and local shards before the zygote, are fresh
+holds one interpreter's RSS; its log is a temp file of its own, outside
+every dispatch's work dir (this benchmark names one in its work dir); a
+process that dispatches once still pays one start.  ssh shards, and local shards before the zygote, are fresh
 ``python -m repro campaign --shard k/n`` processes.  This benchmark
 times both.  Fresh interpreters, spawn to exit:
 

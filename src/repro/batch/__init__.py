@@ -21,7 +21,7 @@ Campaigns scale past one machine by sharding at chain granularity
 (``run(shard=(k, n))`` / ``--shard k/n``; union is bit-identical to the
 single run), merge back with :func:`merge_campaign_results`
 (``python -m repro campaign-merge``), recover a killed run by rerunning it
-against the result store it wrote each solved cell to, and stream cells
+against the result store it wrote each finished chain to, and stream cells
 to a CSV without keeping them (``collect=False``); pool workers return
 their cells through the executor.  :mod:`repro.batch.dispatch` drives a
 whole sharded deployment unattended: over-partitioned shards on a
@@ -43,10 +43,11 @@ rescheduled instead of retried into a black hole.
 Cross-run reuse comes from the content-addressed result store:
 :mod:`repro.batch.canonical` hashes analysis inputs (system content,
 campaign execution context, analysis config) into stable identities, and
-:mod:`repro.batch.store` persists solved cells under those identities, so
-``Campaign.run(store=...)`` / ``--store DIR`` serves already-solved cells
-from disk -- bit-identically to solving them -- and only pays for what no
-previous run covered.
+:mod:`repro.batch.store` persists solved chains (one entry holding
+every cell of a chain) under those identities, so ``Campaign.run(store=...)``
+/ ``--store DIR`` serves already-solved chains from disk --
+bit-identically to solving them -- and only pays for what no previous run
+covered.
 
 The CLI front end is ``python -m repro campaign``.
 """
@@ -62,7 +63,6 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
         "available_methods",
         "holistic_method",
         "register_method",
-        "reseed_jitters",
         "resolve_method",
     ),
     "canonical": (
@@ -84,7 +84,7 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
         "StreamingMerger",
         "available_generators",
         "chain_cost_estimates",
-        "chain_store_digests",
+        "chain_store_digest",
         "linspace_levels",
         "load_cost_manifest",
         "lpt_shard_chains",

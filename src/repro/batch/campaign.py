@@ -44,11 +44,12 @@ incompatible specs and overlapping cells.
 Recovery
 --------
 A run given a result store (``run(store=...)``, see
-:mod:`repro.batch.store`) writes every cell to it as the cell is solved.
-Rerunning the same command after a crash serves every stored cell and
-solves only the rest; the cells equal those of an uninterrupted run in
-every field but ``time_s``.  A run without a store keeps nothing
-between attempts and solves everything again.
+:mod:`repro.batch.store`) writes one entry per chain, holding every cell
+of the chain, as the chain finishes.  Rerunning the same command after
+a crash serves every stored chain whole and solves only the rest, so a
+kill loses at most the chains in flight; the cells equal those of an
+uninterrupted run in every field but ``time_s``.  A run without a store
+keeps nothing between attempts and solves everything again.
 """
 
 from __future__ import annotations
@@ -70,12 +71,11 @@ import numpy as np
 from repro.analysis.busy import clear_phase_cache, phase_cache_stats
 from repro.batch.canonical import campaign_config_hash, system_hash
 from repro.batch.faults import WorkerFaults
-from repro.batch.methods import reseed_jitters, resolve_method
+from repro.batch.methods import resolve_method
 from repro.batch.store import ResultStore, StoreKey
 from repro.gen.random_transactions import RandomSystemSpec, random_system
 from repro.io.spec import read_json
 from repro.model.system import TransactionSystem
-from repro.util.fixedpoint import fixed_point_stats
 from repro.viz.csvout import write_csv
 from repro.viz.tables import format_table
 
@@ -87,7 +87,7 @@ __all__ = [
     "StreamingMerger",
     "available_generators",
     "chain_cost_estimates",
-    "chain_store_digests",
+    "chain_store_digest",
     "linspace_levels",
     "load_cost_manifest",
     "lpt_shard_chains",
@@ -655,10 +655,6 @@ class CampaignResult:
     #: partition (see :func:`shard_chains`); ``None`` for a full run or a
     #: merged union.
     shard: list[int] | None = None
-    #: Fixed-point solves/evaluations spent recovering the warm-start
-    #: jitters of store-served cells (work that produced no reported cell).
-    reseed_solves: int = 0
-    reseed_evaluations: int = 0
     #: Cells served from / solved past the content-addressed result store
     #: (:mod:`repro.batch.store`).  Both stay 0 when no store was passed;
     #: with a store, ``store_hits + store_misses`` covers every cell of
@@ -785,10 +781,6 @@ class CampaignResult:
             ),
             "warm": bucket(warm),
             "cold": bucket(cold),
-            "reseed": {
-                "solves": self.reseed_solves,
-                "evaluations": self.reseed_evaluations,
-            },
             "store": {
                 "hits": self.store_hits,
                 "misses": self.store_misses,
@@ -829,8 +821,6 @@ class CampaignResult:
             "wall_time_s": self.wall_time_s,
             "streamed_cells": self.streamed_cells,
             "shard": self.shard,
-            "reseed_solves": self.reseed_solves,
-            "reseed_evaluations": self.reseed_evaluations,
             "store_hits": self.store_hits,
             "store_misses": self.store_misses,
             "truncated": self.truncated,
@@ -840,6 +830,8 @@ class CampaignResult:
 
     @classmethod
     def from_dict(cls, data: dict) -> "CampaignResult":
+        # Counters earlier versions wrote (``reseed_*``, ``shm_*``) are
+        # ignored, so their files still load and merge.
         shard = data.get("shard")
         return cls(
             spec=data["spec"],
@@ -848,8 +840,6 @@ class CampaignResult:
             wall_time_s=float(data.get("wall_time_s", 0.0)),
             streamed_cells=int(data.get("streamed_cells", 0)),
             shard=[int(shard[0]), int(shard[1])] if shard else None,
-            reseed_solves=int(data.get("reseed_solves", 0)),
-            reseed_evaluations=int(data.get("reseed_evaluations", 0)),
             store_hits=int(data.get("store_hits", 0)),
             store_misses=int(data.get("store_misses", 0)),
             truncated=bool(data.get("truncated", False)),
@@ -949,11 +939,6 @@ class CampaignResult:
             f"{acc['phase_cache']['misses']} misses "
             f"(hit ratio {acc['phase_cache']['hit_ratio']:.2f})"
         )
-        if self.reseed_solves:
-            footer += (
-                f"\nwarm-start recovery: {self.reseed_solves} re-seed "
-                f"solves ({self.reseed_evaluations} evaluations, unreported)"
-            )
         if self.store_hits or self.store_misses:
             footer += (
                 f"\nresult store: {self.store_hits} cells served, "
@@ -1025,8 +1010,6 @@ class StreamingMerger:
         self._workers = 0
         self._wall = 0.0
         self._streamed = 0
-        self._reseed_solves = 0
-        self._reseed_evaluations = 0
         self._store_hits = 0
         self._store_misses = 0
         self._truncated = False
@@ -1068,8 +1051,6 @@ class StreamingMerger:
         self._workers = max(self._workers, result.workers)
         self._wall = max(self._wall, result.wall_time_s)
         self._streamed += result.streamed_cells
-        self._reseed_solves += result.reseed_solves
-        self._reseed_evaluations += result.reseed_evaluations
         self._store_hits += result.store_hits
         self._store_misses += result.store_misses
         self._truncated = self._truncated or result.truncated
@@ -1110,8 +1091,6 @@ class StreamingMerger:
             wall_time_s=self._wall,
             streamed_cells=self._streamed,
             shard=None,
-            reseed_solves=self._reseed_solves,
-            reseed_evaluations=self._reseed_evaluations,
             store_hits=self._store_hits,
             store_misses=self._store_misses,
             truncated=self._truncated
@@ -1230,18 +1209,8 @@ def _inferred_cell(
     }
 
 
-#: Warm-start placeholder for a method whose previous cell was *served*
-#: from the result store: the converged jitter vector exists (the stored
-#: ``warm`` flag says the original solve produced one) but was never
-#: serialized.  The next actual solve lazily recovers it with
-#: :func:`~repro.batch.methods.reseed_jitters` against the level it was
-#: converged at -- the converged vector is the least fixed point, hence
-#: independent of the start, so the recovery reproduces it exactly and
-#: the downstream cells stay bit-identical.
-_STALE_WARM: Any = object()
-
-#: Cell fields a store entry must carry to be servable (everything of a
-#: tagged cell except the identity fields the key already determines).
+#: Cell fields a chain entry stores per cell (everything of a tagged cell
+#: except the identity fields the chain plan already determines).
 _STORED_CELL_FIELDS = (
     "schedulable",
     "converged",
@@ -1256,76 +1225,24 @@ _STORED_CELL_FIELDS = (
 )
 
 
-def _store_payload(cell: dict, warm_available: bool) -> dict:
-    """The store value for one tagged cell's ``cell`` dict.
+def _chain_systems(
+    spec: CampaignSpec, chain: dict
+) -> tuple[list[TransactionSystem], bool]:
+    """The systems one chain analyzes, in sweep order.
 
-    ``warm`` records whether the solve produced a converged jitter
-    vector (a warm start for the next level); it is stored explicitly
-    because the vector itself is never serialized and no stored field
-    implies its existence.
+    A level derives from the last freshly generated one through the
+    generator's sweep scaler when it has one and the scaler accepts the
+    level; otherwise the level is generated afresh.  The flag says
+    whether every level derives from the first through the scaler -- the
+    premise of monotone level pruning (see :func:`_run_chain_pruned`).
     """
-    return {
-        "cell": {k: cell[k] for k in _STORED_CELL_FIELDS},
-        "warm": bool(warm_available),
-    }
-
-
-def _store_entry(store: ResultStore, key: StoreKey) -> dict | None:
-    """A validated store entry, or ``None`` (missing or malformed)."""
-    payload = store.get(key)
-    if payload is None:
-        return None
-    cell = payload.get("cell")
-    if not isinstance(cell, dict) or any(
-        f not in cell for f in _STORED_CELL_FIELDS
-    ):
-        return None
-    return {"cell": cell, "warm": bool(payload.get("warm"))}
-
-
-def _served_cell(
-    spec: CampaignSpec,
-    chain: dict,
-    step: int,
-    m_idx: int,
-    name: str,
-    entry: dict,
-) -> dict:
-    """Tagged cell rebuilt from a store entry plus its chain context.
-
-    Identity fields (params/seed/replicate/method) come from the chain
-    plan, not the entry -- the store key only guarantees *content*
-    identity, and the canonical identity must match this spec's cells
-    bit for bit.
-    """
-    cell = {
-        "params": _jsonify(_chain_point_params(spec, chain["point"], step)),
-        "seed": chain["seed"],
-        "replicate": chain["replicate"],
-        "method": name,
-    }
-    cell.update(entry["cell"])
-    return {"order": (chain["index"], step, m_idx), "cell": cell}
-
-
-def chain_store_digests(spec: CampaignSpec, chain: dict) -> list[str]:
-    """Digests of the store entries one chain of *spec* reads and writes.
-
-    Replays the generation walk of :func:`_run_chain_sweep` -- scaler
-    when the generator has one, fresh generation otherwise -- over the
-    chain's sweep steps and returns the :meth:`StoreKey.digest` of each
-    (system, config, level, method) cell, one per cell of the chain.
-    The pruned runner derives its levels through the same scaler from
-    the same base, so its cells share these keys.
-    """
-    cfg_hash = campaign_config_hash(spec)
     scaler = (
         GENERATOR_SWEEP_SCALERS.get(spec.generator)
         if spec.sweep_axis is not None
         else None
     )
-    point, seed = chain["point"], chain["seed"]
-    digests: list[str] = []
+    systems: list[TransactionSystem] = []
+    one_base = scaler is not None
     base_system: TransactionSystem | None = None
     base_value: Any = None
     for step, sweep_value in enumerate(spec.sweep_values()):
@@ -1336,105 +1253,93 @@ def chain_store_digests(spec: CampaignSpec, chain: dict) -> list[str]:
             )
         if system is None:
             system = GENERATORS[spec.generator](
-                _chain_point_params(spec, point, step), seed
+                _chain_point_params(spec, chain["point"], step), chain["seed"]
             )
             base_system, base_value = system, sweep_value
-        sys_hash = system_hash(system)
-        level = _jsonify(sweep_value)
-        digests.extend(
-            StoreKey(sys_hash, cfg_hash, level, name).digest()
-            for name in spec.methods
-        )
-    return digests
+            one_base = one_base and step == 0
+        systems.append(system)
+    return systems, one_base
+
+
+def _chain_key(
+    spec: CampaignSpec, systems: Sequence[TransactionSystem]
+) -> StoreKey:
+    """The one store key of a chain of *spec* analyzing *systems*.
+
+    Its identity holds the campaign config hash and, in sweep order, the
+    hash of every system the chain analyzes.  A one-shot key holds a
+    single system hash, so the two kinds never share an identity.
+    """
+    return StoreKey(
+        tuple(system_hash(system) for system in systems),
+        campaign_config_hash(spec),
+        None,
+        "chain",
+    )
+
+
+def chain_store_digest(spec: CampaignSpec, chain: dict) -> str:
+    """Digest of the one store entry a chain of *spec* reads and writes."""
+    return _chain_key(spec, _chain_systems(spec, chain)[0]).digest()
 
 
 def store_reachable_digests(spec: CampaignSpec) -> set[str]:
     """Digests of every store entry a run of *spec* would consult.
 
-    The union of :func:`chain_store_digests` over every chain of the
-    plan: the reachability set ``store-gc --spec`` keeps, so pruning
-    everything else leaves the store exactly warm for that spec.
-    Generation is cheap relative to analysis (O(tasks) per cell, no
-    fixed points), but the walk still touches every chain, so expect
-    seconds, not milliseconds, on big grids.
+    One per chain of the plan: the reachability set ``store-gc --spec``
+    keeps, so pruning everything else leaves the store exactly warm for
+    that spec.  Generation is cheap relative to analysis (O(tasks) per
+    cell, no fixed points), but the walk still touches every chain, so
+    expect seconds, not milliseconds, on big grids.
     """
-    digests: set[str] = set()
-    for chain in spec.chains():
-        digests.update(chain_store_digests(spec, chain))
-    return digests
+    return {chain_store_digest(spec, chain) for chain in spec.chains()}
+
+
+def _served_chain(
+    spec: CampaignSpec, chain: dict, value: dict | None
+) -> list[dict] | None:
+    """Tagged cells of *chain* rebuilt from its store entry, or ``None``.
+
+    An entry serves whole or not at all: it must hold one cell per
+    (step, method) in canonical order, each with every stored field.
+    Identity fields (params/seed/replicate/method) come from the chain
+    plan, not the entry -- the key only guarantees *content* identity,
+    and the canonical identity must match this spec's cells bit for bit.
+    """
+    stored = value.get("cells") if value is not None else None
+    n_methods = len(spec.methods)
+    if not isinstance(stored, list) or len(stored) != (
+        len(spec.sweep_values()) * n_methods
+    ):
+        return None
+    out: list[dict] = []
+    for i, fields in enumerate(stored):
+        if not isinstance(fields, dict) or any(
+            f not in fields for f in _STORED_CELL_FIELDS
+        ):
+            return None
+        step, m_idx = divmod(i, n_methods)
+        params = _chain_point_params(spec, chain["point"], step)
+        cell = {
+            "params": _jsonify(params),
+            "seed": chain["seed"],
+            "replicate": chain["replicate"],
+            "method": spec.methods[m_idx],
+        }
+        cell.update((f, fields[f]) for f in _STORED_CELL_FIELDS)
+        out.append({"order": (chain["index"], step, m_idx), "cell": cell})
+    return out
 
 
 def _run_chain_sweep(
-    spec: CampaignSpec, chain: dict, store: ResultStore | None = None
-) -> tuple[list[dict], int]:
-    """The ascending warm-start walk over one chain's sweep levels.
-
-    With a *store*, each sweep step first consults the content-addressed
-    result store.  Serving is all-or-nothing per step: the methods of
-    one step share a phase cache (cleared once per step), so a later
-    method's hit/miss accounting depends on the earlier methods having
-    actually run -- serving a step partially would change the solved
-    cells' accounting and break the bit-identical-rerun guarantee.  A
-    fully-stored step is emitted verbatim; a warm-start vector consumed
-    by a later solved step is recovered lazily via :data:`_STALE_WARM`.
-    Returns ``(tagged cells, store hits)``.
-    """
-    point: dict[str, Any] = chain["point"]
-    seed: int = chain["seed"]
-
+    spec: CampaignSpec, chain: dict, systems: Sequence[TransactionSystem]
+) -> list[dict]:
+    """The ascending warm-start walk over one chain's sweep levels."""
     warm: dict[str, Any] = {m: None for m in spec.methods}
     out: list[dict] = []
-    hits = 0
-    cfg_hash = campaign_config_hash(spec) if store is not None else ""
-    prev_system: TransactionSystem | None = None
-    scaler = (
-        GENERATOR_SWEEP_SCALERS.get(spec.generator)
-        if spec.sweep_axis is not None
-        else None
-    )
-    base_system: TransactionSystem | None = None
-    base_value: Any = None
-    for step, sweep_value in enumerate(spec.sweep_values()):
-        params = _chain_point_params(spec, point, step)
-        system = None
-        if scaler is not None and base_system is not None:
-            system = scaler(
-                base_system, spec.sweep_axis, base_value, sweep_value
-            )
-        if system is None:
-            system = GENERATORS[spec.generator](params, seed)
-            base_system, base_value = system, sweep_value
-        keys: dict[str, StoreKey] | None = None
-        entries: list[dict] | None = None
-        if store is not None:
-            sys_hash = system_hash(system)
-            level = _jsonify(sweep_value)
-            keys = {
-                name: StoreKey(sys_hash, cfg_hash, level, name)
-                for name in spec.methods
-            }
-            found = [_store_entry(store, keys[name]) for name in spec.methods]
-            if all(e is not None for e in found):
-                entries = found
-        if entries is not None:
-            for m_idx, name in enumerate(spec.methods):
-                out.append(
-                    _served_cell(spec, chain, step, m_idx, name,
-                                 entries[m_idx])
-                )
-                warm[name] = _STALE_WARM if entries[m_idx]["warm"] else None
-            hits += len(spec.methods)
-            prev_system = system
-            continue
-        for name in spec.methods:
-            if spec.warm_start and warm[name] is _STALE_WARM:
-                # The previous step was served, so the vector its solve
-                # would have produced was never materialized; recover it
-                # from that step's system (prev_system).
-                warm[name] = reseed_jitters(name, prev_system)
-        # A fresh cache per solved step keeps per-cell hit/miss accounting
-        # independent of which worker ran the previous chain, and of the
-        # re-seed solves just above.
+    for step, system in enumerate(systems):
+        # A fresh cache per step keeps per-cell hit/miss accounting
+        # independent of which worker ran the previous chain.
         clear_phase_cache()
         for m_idx, name in enumerate(spec.methods):
             info = resolve_method(name)
@@ -1446,19 +1351,12 @@ def _run_chain_sweep(
             )
             warm[name] = outcome.jitters
             out.append(tagged)
-            if store is not None and keys is not None:
-                store.put(
-                    keys[name],
-                    _store_payload(tagged["cell"],
-                                   outcome.jitters is not None),
-                )
-        prev_system = system
-    return out, hits
+    return out
 
 
 def _run_chain_pruned(
-    spec: CampaignSpec, chain: dict, store: ResultStore | None = None
-) -> tuple[list[dict], int] | None:
+    spec: CampaignSpec, chain: dict, systems: Sequence[TransactionSystem]
+) -> list[dict]:
     """Monotone-level-pruned execution of one chain (verdict methods).
 
     Along a warm-start chain every sweep level is the *same* drawn system
@@ -1470,76 +1368,23 @@ def _run_chain_pruned(
     unschedulable level (~log2 solves) and emit the remaining cells with
     inferred verdicts carrying provenance extras (``verdict_inferred``,
     ``from_level``); other methods in the same spec run the plain
-    ascending walk.  Returns ``None`` when the chain's levels cannot all
-    be derived from one base system through the registered sweep scaler
-    (no scaler, or it declined some level) -- the monotonicity premise is
-    then unavailable and the caller falls back to the ascending walk.
+    ascending walk.
 
-    Only the ``"utilization"`` sweep axis qualifies: the inference needs
-    ascending levels to scale *demand up* (higher level => responses can
-    only grow).  A custom scaler on some other axis -- say a deadline
-    factor, where larger values make systems easier -- would invert the
-    direction and the bisection invariant with it, so any other axis
-    falls back to the ascending walk too.
-
-    With a *store*, serving is per cell (every pruned-path solve clears
-    the phase cache itself, so cells are accounting-independent).  Each
-    monotone method first checks whether the *whole* chain is stored
-    (the fully-warm fast path -- it serves solved and inferred cells
-    alike, which is what makes a warm rerun count ``store_hits ==
-    n_analyses``); otherwise bisection probes serve individually and
-    solved probes (plus the final inferred cells) are written back.  A
-    served probe carries the verdict its solve had, so the bisection
-    visits the levels a storeless run visits and emits the same cells.
-    Returns ``(tagged cells, store hits)`` or ``None`` for the fallback.
+    The caller takes this path only when every level derives from the
+    first through the registered sweep scaler (see
+    :func:`_chain_systems`) and the sweep axis is ``"utilization"``: the
+    inference needs ascending levels to scale *demand up* (higher level
+    => responses can only grow).  A custom scaler on some other axis --
+    say a deadline factor, where larger values make systems easier --
+    would invert the direction and the bisection invariant with it, so
+    any other axis runs the ascending walk.
     """
-    scaler = GENERATOR_SWEEP_SCALERS.get(spec.generator)
-    if scaler is None or spec.sweep_axis != "utilization":
-        return None
-    point: dict[str, Any] = chain["point"]
-    seed: int = chain["seed"]
     sweep_values = spec.sweep_values()
-    n_steps = len(sweep_values)
-
-    base_system = GENERATORS[spec.generator](
-        _chain_point_params(spec, point, 0), seed
-    )
-    systems: list[TransactionSystem] = [base_system]
-    for step in range(1, n_steps):
-        scaled = scaler(
-            base_system, spec.sweep_axis, sweep_values[0], sweep_values[step]
-        )
-        if scaled is None:
-            return None
-        systems.append(scaled)
-
-    use_store = store is not None
-    cfg_hash = campaign_config_hash(spec) if use_store else ""
-    sys_hashes: list[str | None] = [None] * n_steps
-
-    def key_for(step: int, name: str) -> StoreKey:
-        if sys_hashes[step] is None:
-            sys_hashes[step] = system_hash(systems[step])
-        return StoreKey(
-            sys_hashes[step], cfg_hash, _jsonify(sweep_values[step]), name
-        )
-
+    n_steps = len(systems)
     out: list[dict] = []
-    hits = 0
     for m_idx, name in enumerate(spec.methods):
         info = resolve_method(name)
-        looked: dict[int, dict | None] = {}
-
-        def lookup(step: int) -> dict | None:
-            if not use_store:
-                return None
-            if step not in looked:
-                looked[step] = _store_entry(store, key_for(step, name))
-            return looked[step]
-
-        warm: Any = None
-        #: Level whose served cell made ``warm`` stale (see _STALE_WARM).
-        stale_step: int | None = None
+        use_warm = spec.warm_start and info.supports_warm_start
 
         def solve(step: int, warm_vector: dict | None) -> tuple[Any, dict]:
             clear_phase_cache()
@@ -1548,40 +1393,12 @@ def _run_chain_pruned(
                 warm_vector,
             )
 
-        use_warm = spec.warm_start and info.supports_warm_start
-
-        if use_store:
-            entries = [lookup(step) for step in range(n_steps)]
-            if all(e is not None for e in entries):
-                for step, entry in enumerate(entries):
-                    out.append(
-                        _served_cell(spec, chain, step, m_idx, name, entry)
-                    )
-                hits += n_steps
-                continue
-
+        warm: Any = None
         if not info.verdict_monotone:
             for step in range(n_steps):
-                entry = lookup(step)
-                if entry is not None:
-                    out.append(
-                        _served_cell(spec, chain, step, m_idx, name, entry)
-                    )
-                    hits += 1
-                    warm = _STALE_WARM if entry["warm"] else None
-                    stale_step = step
-                    continue
-                if use_warm and warm is _STALE_WARM:
-                    warm = reseed_jitters(name, systems[stale_step])
                 outcome, tagged = solve(step, warm if use_warm else None)
                 warm = outcome.jitters
                 out.append(tagged)
-                if use_store:
-                    store.put(
-                        key_for(step, name),
-                        _store_payload(tagged["cell"],
-                                       outcome.jitters is not None),
-                    )
             continue
 
         # Bisect [0, n_steps) for the lowest unschedulable level.  Warm
@@ -1593,32 +1410,8 @@ def _run_chain_pruned(
         lo, hi = 0, n_steps
         while lo < hi:
             mid = (lo + hi) // 2
-            entry = lookup(mid)
-            if entry is not None:
-                tagged = _served_cell(spec, chain, mid, m_idx, name, entry)
-                hits += 1
-                solved[mid] = tagged
-                if tagged["cell"]["schedulable"]:
-                    if entry["warm"]:
-                        # The vector this probe's solve would have handed
-                        # upward exists but was never serialized; recover
-                        # it lazily before the next actual solve.
-                        warm = _STALE_WARM
-                        stale_step = mid
-                    lo = mid + 1
-                else:
-                    hi = mid
-                continue
-            if use_warm and warm is _STALE_WARM:
-                warm = reseed_jitters(name, systems[stale_step])
             outcome, tagged = solve(mid, warm if use_warm else None)
             solved[mid] = tagged
-            if use_store:
-                store.put(
-                    key_for(mid, name),
-                    _store_payload(tagged["cell"],
-                                   outcome.jitters is not None),
-                )
             if tagged["cell"]["schedulable"]:
                 if outcome.jitters is not None:
                     warm = outcome.jitters
@@ -1635,23 +1428,17 @@ def _run_chain_pruned(
             # the probed miss at it.
             schedulable = step < threshold
             witness = sweep_values[threshold - 1 if schedulable else threshold]
-            tagged = _inferred_cell(
-                spec, chain, step, m_idx, name, schedulable, witness
-            )
-            # Inferred cells are stored too: the fully-warm fast path
-            # above can then serve the complete chain without a single
-            # probe (they carry no warm vector, hence "warm": False).
-            if use_store:
-                store.put(
-                    key_for(step, name),
-                    _store_payload(tagged["cell"], False),
+            out.append(
+                _inferred_cell(
+                    spec, chain, step, m_idx, name, schedulable, witness
                 )
-            out.append(tagged)
-    # Canonical (step, method) order: the streaming CSV and the fault
-    # harness's cell boundaries then see whole levels complete in sweep
-    # order, exactly like the ascending walk.
+            )
+    # Canonical (step, method) order: the streaming CSV, the fault
+    # harness's cell boundaries and the chain's store entry then see
+    # whole levels complete in sweep order, exactly like the ascending
+    # walk.
     out.sort(key=lambda item: item["order"])
-    return out, hits
+    return out
 
 
 def _run_chain(
@@ -1659,40 +1446,47 @@ def _run_chain(
 ) -> dict:
     """Execute one warm-start chain.
 
-    Returns ``{"cells": [tagged cell dicts], "reseed_solves": int,
-    "reseed_evaluations": int, "store_hits": int, "store_misses": int}``.
-    Chains whose spec includes a verdict-monotone method take the pruned
-    path (:func:`_run_chain_pruned`) when the sweep levels are derivable
-    from one base system; everything else runs the ascending walk
-    (:func:`_run_chain_sweep`).  With a *store*, emitted cells split into
-    served (``store_hits``) and solved-then-stored (``store_misses``);
-    without one both stay 0.
+    Returns ``{"cells": [tagged cell dicts], "store_hits": int,
+    "store_misses": int}``.  Chains whose spec includes a
+    verdict-monotone method take the pruned path
+    (:func:`_run_chain_pruned`) when every sweep level derives from one
+    base system; everything else runs the ascending walk
+    (:func:`_run_chain_sweep`).
+
+    With a *store*, the chain is the unit of reuse: one entry, filed
+    under :func:`_chain_key`, holds every cell of the chain.  An entry
+    that validates serves the whole chain (``store_hits``); otherwise the
+    chain is solved as without a store and its cells are stored with one
+    ``put`` (``store_misses``).  Without a store both stay 0.
     """
-    stats0 = fixed_point_stats()
-    cells: list[dict] | None = None
-    hits = 0
-    if spec.sweep_axis is not None and any(
-        resolve_method(name).verdict_monotone for name in spec.methods
+    systems, one_base = _chain_systems(spec, chain)
+    key = None
+    if store is not None:
+        key = _chain_key(spec, systems)
+        served = _served_chain(spec, chain, store.get(key))
+        if served is not None:
+            return {"cells": served, "store_hits": len(served),
+                    "store_misses": 0}
+    if (
+        one_base
+        and spec.sweep_axis == "utilization"
+        and any(resolve_method(name).verdict_monotone for name in spec.methods)
     ):
-        pruned = _run_chain_pruned(spec, chain, store)
-        if pruned is not None:
-            cells, hits = pruned
-    if cells is None:
-        cells, hits = _run_chain_sweep(spec, chain, store)
-    reseed_delta = fixed_point_stats().delta(stats0)
-    return {
-        "cells": cells,
-        "reseed_solves": reseed_delta.reseed_solves,
-        "reseed_evaluations": reseed_delta.reseed_evaluations,
-        "store_hits": hits,
-        "store_misses": len(cells) - hits if store is not None else 0,
-    }
+        cells = _run_chain_pruned(spec, chain, systems)
+    else:
+        cells = _run_chain_sweep(spec, chain, systems)
+    if key is None:
+        return {"cells": cells, "store_hits": 0, "store_misses": 0}
+    store.put(key, {"cells": [
+        {f: item["cell"][f] for f in _STORED_CELL_FIELDS} for item in cells
+    ]})
+    return {"cells": cells, "store_hits": 0, "store_misses": len(cells)}
 
 
 def _run_chunk(payload: tuple[dict, list[dict], str | None]) -> dict:
     """Worker entry point: a chunk is a list of chains.
 
-    Finished cells and the chains' accounting return through the
+    Finished cells and the chains' store counters return through the
     executor's pickle channel.  ``store_root`` (a path, not a live
     object -- each worker opens its own handle) enables the
     content-addressed result store for the chunk's chains.
@@ -1701,21 +1495,15 @@ def _run_chunk(payload: tuple[dict, list[dict], str | None]) -> dict:
     spec = CampaignSpec.from_dict(spec_dict)
     store = ResultStore(store_root) if store_root else None
     cells: list[dict] = []
-    reseed_solves = 0
-    reseed_evaluations = 0
     store_hits = 0
     store_misses = 0
     for chain in chains:
         chain_out = _run_chain(spec, chain, store)
         cells.extend(chain_out["cells"])
-        reseed_solves += chain_out["reseed_solves"]
-        reseed_evaluations += chain_out["reseed_evaluations"]
         store_hits += chain_out["store_hits"]
         store_misses += chain_out["store_misses"]
     return {
         "cells": cells,
-        "reseed_solves": reseed_solves,
-        "reseed_evaluations": reseed_evaluations,
         "store_hits": store_hits,
         "store_misses": store_misses,
     }
@@ -1955,16 +1743,16 @@ class Campaign:
             ``levels x n_tasks`` size proxy.
         store:
             A :class:`~repro.batch.store.ResultStore` (or its root
-            directory) memoizing solved cells *across* runs by content
-            hash: cells whose (system, execution context, level, method)
-            was solved before -- by this run, an earlier run, or another
-            shard sharing the store -- are served from disk, and freshly
-            solved cells are written back as they are solved.  A
-            store-warmed rerun is bit-identical to a cold run (same
-            cells, same canonical order); only ``store_hits``/
+            directory) memoizing solved chains *across* runs by content
+            hash: a chain whose execution context and systems were
+            solved before -- by this run, an earlier run, or another
+            shard sharing the store -- is served whole from its one
+            entry, and a freshly solved chain is written back as one
+            entry.  A store-warmed rerun is bit-identical to a cold run
+            (same cells, same canonical order); only ``store_hits``/
             ``store_misses`` differ.  This is also the crash-recovery
             path: rerunning a killed run against its store solves only
-            the cells the killed run had not stored.
+            the chains the killed run had not stored.
         chain_indices:
             Run only the chains with these plan indices (see
             :meth:`chains`), in canonical plan order.  This is the
@@ -2051,17 +1839,12 @@ ProcessPoolExecutor` to run chain chunks on instead of creating (and
         tagged: list[dict] = []
         streamed = 0
         consumed = 0
-        reseed_solves = 0
-        reseed_evaluations = 0
         store_hits = 0
         store_misses = 0
 
         def consume(part: dict) -> None:
             """Account one chain's (or chunk's) finished cells."""
-            nonlocal streamed, consumed, reseed_solves, reseed_evaluations
-            nonlocal store_hits, store_misses
-            reseed_solves += part["reseed_solves"]
-            reseed_evaluations += part["reseed_evaluations"]
+            nonlocal streamed, consumed, store_hits, store_misses
             store_hits += part["store_hits"]
             store_misses += part["store_misses"]
             cells = part["cells"]
@@ -2134,8 +1917,6 @@ ProcessPoolExecutor` to run chain chunks on instead of creating (and
             wall_time_s=time.perf_counter() - t0,
             streamed_cells=streamed,
             shard=list(shard) if shard is not None else None,
-            reseed_solves=reseed_solves,
-            reseed_evaluations=reseed_evaluations,
             store_hits=store_hits,
             store_misses=store_misses,
             chain_costs=_tagged_chain_costs(items),

@@ -15,14 +15,14 @@ campaign unattended with a :class:`CampaignDispatcher` that
   n_tasks`` size proxy as the manifest-free fallback;
 * is **fault-tolerant**: a dead, killed or incomplete shard is
   relaunched with the same command.  With a result store (``store=``,
-  CLI ``--store``) every shard writes each cell to it as the cell is
-  solved, so the relaunch serves every cell an earlier attempt solved
-  and solves only the rest; without one the relaunch solves the shard
-  again.  Either way the retried shard's cells equal an uninterrupted
-  one's.  Relaunches wait out a deterministic exponential backoff
-  (seeded jitter, so a drill replays exactly), and every shard can
-  carry a wall-clock budget derived from the cost manifest
-  (``timeout_factor x predicted + timeout_floor``) or a flat
+  CLI ``--store``) every shard writes each chain to it, one entry, as
+  the chain finishes, so the relaunch serves every chain an earlier
+  attempt finished and solves only the rest; without one the relaunch
+  solves the shard again.  Either way the retried shard's cells equal
+  an uninterrupted one's.  Relaunches wait out a deterministic
+  exponential backoff (seeded jitter, so a drill replays exactly), and
+  every shard can carry a wall-clock budget derived from the cost
+  manifest (``timeout_factor x predicted + timeout_floor``) or a flat
   ``shard_timeout``;
 * watches **heartbeats**: every shard subprocess publishes an atomic
   liveness file (monotonic cells-completed counter + beat sequence, see
@@ -37,8 +37,9 @@ campaign unattended with a :class:`CampaignDispatcher` that
   seconds, its chains are re-partitioned by *remaining* cost into
   sub-shards (``--chains i,j,k`` subsets), so idle slots eat the
   critical path.  The census of what remains asks the result store
-  which of the straggler's cells it holds (without a store every chain
-  counts as unfinished), and the sub-shards serve those cells from it.
+  which of the straggler's chains it holds, one membership query per
+  chain (without a store every chain counts as unfinished), and the
+  sub-shards serve those chains from it.
   The partition is chain-granular, so the merged union stays
   bit-identical to the single-process run;
 * **auto-merges** shard results *as they complete* through
@@ -50,13 +51,14 @@ campaign unattended with a :class:`CampaignDispatcher` that
   of the same spec;
 * optionally threads a **content-addressed result store** (``store=``,
   CLI ``--store``) through to every shard subprocess, so relaunched and
-  split shards, and overlapping or repeated campaigns, skip cells the
+  split shards, and overlapping or repeated campaigns, skip chains the
   store already holds;
 * shuts down **gracefully**: a ``KeyboardInterrupt`` (SIGINT, or the
   CLI's SIGTERM trap) terminates every child, saves the merged union so
   far to ``work_dir/partial.json`` and raises
   :class:`DispatchInterrupted` -- no subprocess is orphaned, and a
-  re-dispatch against the same store serves every cell already solved.
+  re-dispatch against the same store serves every chain already
+  finished.
 
 Every read of a file a child writes (heartbeat, shard result) is
 crash-consistent: truncated or corrupt JSON is treated as absent,
@@ -80,8 +82,9 @@ the campaign engine's imports.  The process's first local dispatch
 starts the zygote and later ones fork from it while the interpreter,
 cwd, env and preload list stay the same (a change, or its death, gets a
 fresh one); it closes at interpreter exit.  Idle, it holds one
-interpreter's RSS, and its ``zygote.log`` stays in the first dispatch's
-work dir.  A process that dispatches once still pays one zygote start.
+interpreter's RSS; its log is a temp file of its own, outside every
+dispatch's work dir.  A process that dispatches once still pays one
+zygote start.
 :class:`SshBackend` (a thin command
 template prefixing ``ssh <host>`` per worker slot; it is trivially
 mockable in tests) runs it as a subprocess.  Either way an attempt is
@@ -130,7 +133,7 @@ from repro.batch.campaign import (
     CampaignSpec,
     StreamingMerger,
     chain_cost_estimates,
-    chain_store_digests,
+    chain_store_digest,
     partition_chains,
 )
 from repro.batch.faults import FAULT_ENV, FaultPlan
@@ -160,7 +163,7 @@ class DispatchInterrupted(DispatchError):
 
     Every child was terminated and the merged union so far was saved to
     ``work_dir/partial.json``.  With a result store, a fresh dispatch of
-    the same spec against it serves every cell already solved.
+    the same spec against it serves every chain already finished.
     """
 
 
@@ -311,15 +314,15 @@ class LocalBackend:
 
     The first launch acquires the process's
     :class:`~repro.batch.zygote.Zygote` through
-    :func:`repro.batch.zygote.acquire`, which starts one (logging to
-    ``zygote.log`` beside the shard logs) only if no matching zygote is
-    up.  It imports a shard's module set once; every launch forks a
-    child of it that runs the ``python -m repro ...`` command line
-    in-process and returns a Popen-shaped
-    :class:`~repro.batch.zygote.ForkedShard`.  :meth:`close` kills and
-    reaps the shards this backend launched and releases the zygote,
-    which stays up for the next dispatch; a backend whose zygote died
-    acquires a new one on its next launch.
+    :func:`repro.batch.zygote.acquire`, which starts one only if no
+    matching zygote is up; its log is not in any dispatch's work dir,
+    which may be deleted while the zygote lives on.  It imports a
+    shard's module set once; every launch forks a child of it that runs
+    the ``python -m repro ...`` command line in-process and returns a
+    Popen-shaped :class:`~repro.batch.zygote.ForkedShard`.
+    :meth:`close` kills and reaps the shards this backend launched and
+    releases the zygote, which stays up for the next dispatch; a backend
+    whose zygote died acquires a new one on its next launch.
     """
 
     _zygote: Zygote | None = None
@@ -341,9 +344,7 @@ class LocalBackend:
         del slot  # local slots are interchangeable
         if self._zygote is None or not self._zygote.alive:
             self._release()
-            self._zygote = zygote.acquire(
-                _child_env(), Path(log_path).parent / "zygote.log"
-            )
+            self._zygote = zygote.acquire(_child_env())
         proc = self._zygote.launch(
             argv, dict(os.environ) if env is None else env, log_path
         )
@@ -671,8 +672,8 @@ class CampaignDispatcher:
     split_after:
         Straggler threshold in seconds (``None`` disables splitting).
         When the queue is empty, at least one slot is idle and a shard
-        with >= 2 unfinished chains (chains whose cells the store does
-        not all hold; every chain without a store) has held its slot
+        with >= 2 unfinished chains (chains the store does not hold;
+        every chain without a store) has held its slot
         this long, the shard is killed and its chains re-partitioned by
         *remaining* cost into sub-shards -- the merged union stays
         bit-identical because the partition is chain-granular.
@@ -683,9 +684,9 @@ class CampaignDispatcher:
     store:
         Root directory of a content-addressed result store
         (:class:`repro.batch.store.ResultStore`) passed to every shard
-        via ``--store``; shards then serve already-solved cells from it
-        and write fresh solves back as they finish, which is what a
-        relaunched or split shard recovers its predecessor's work
+        via ``--store``; shards then serve already-solved chains from
+        it and write each fresh chain back as it finishes, which is what
+        a relaunched or split shard recovers its predecessor's work
         from.  ``None`` (default) keeps no cells between attempts.
         Must be shared storage when the backend spans hosts.
     transport:
@@ -790,8 +791,8 @@ class CampaignDispatcher:
         self.split_after = split_after
         self.faults = faults
         self.store = Path(store) if store is not None else None
-        #: Chain index -> its cells' store digests (see _stored_cells).
-        self._chain_digests: dict[int, list[str]] = {}
+        #: Chain index -> its store entry's digest (see _stored_chains).
+        self._chain_digests: dict[int, str] = {}
         self.transport = (
             transport
             if transport is not None
@@ -1013,30 +1014,31 @@ class CampaignDispatcher:
         jitter = rng.random() * self.backoff_base
         return min(self.backoff_max, raw + jitter)
 
-    def _stored_cells(
+    def _stored_chains(
         self, record: ShardRecord, chain_plan: dict[int, dict]
-    ) -> dict[int, int]:
-        """Cells of each chain of *record* the result store holds.
+    ) -> set[int]:
+        """The chains of *record* the result store holds: the finished ones.
 
-        A membership query over the chain's store keys (the walk of
-        :func:`~repro.batch.campaign.chain_store_digests`); a chain
-        whose cells are all stored is finished, and a relaunch serves
-        those cells.  Without a store nothing survives an attempt, so
-        the census is empty and every chain counts as unfinished.
+        One membership query per chain, on its one entry (see
+        :func:`~repro.batch.campaign.chain_store_digest`); a relaunch
+        serves a stored chain whole.  Without a store nothing survives
+        an attempt, so the census is empty and every chain counts as
+        unfinished.
         """
         if self.store is None:
-            return {}
+            return set()
         store = ResultStore(self.store)
-        counts: dict[int, int] = {}
         for i in record.chain_indices:
-            # The keys are a pure function of the spec: walk each chain
-            # once per dispatch, however often the census runs.
+            # A digest is a pure function of the spec: derive each
+            # chain's once per dispatch, however often the census runs.
             if i not in self._chain_digests:
-                self._chain_digests[i] = chain_store_digests(
+                self._chain_digests[i] = chain_store_digest(
                     self.spec, chain_plan[i]
                 )
-            counts[i] = sum(store.has(d) for d in self._chain_digests[i])
-        return counts
+        return {
+            i for i in record.chain_indices
+            if store.has(self._chain_digests[i])
+        }
 
     def _designator(self, record: ShardRecord) -> str:
         if record.parent is None:
@@ -1222,12 +1224,9 @@ class CampaignDispatcher:
             )
             record = active.record
             # Census the straggler's progress *before* killing it: the
-            # store holds every cell it has solved so far.
-            done = self._stored_cells(record, chain_plan)
-            unfinished = [
-                i for i in record.chain_indices
-                if done.get(i, 0) < n_cells
-            ]
+            # store holds every chain it has finished so far.
+            done = self._stored_chains(record, chain_plan)
+            unfinished = [i for i in record.chain_indices if i not in done]
             if len(unfinished) < 2:
                 # One unfinished chain cannot be split further; leave the
                 # shard running rather than pay a pointless relaunch.
@@ -1246,7 +1245,7 @@ class CampaignDispatcher:
                 self.cost_manifest,
             )
             remaining = {
-                i: cost * (1.0 - min(done.get(i, 0), n_cells) / n_cells)
+                i: 0.0 if i in done else cost
                 for i, cost in zip(record.chain_indices, costs)
             }
             groups = min(idle + 1, len(unfinished))
@@ -1425,8 +1424,8 @@ class CampaignDispatcher:
                     else ""
                 )
                 + (
-                    f"result store {self.store} holds every solved cell: "
-                    "re-dispatch the same spec with it to serve them"
+                    f"result store {self.store} holds every finished "
+                    "chain: re-dispatch the same spec with it to serve them"
                     if self.store is not None
                     else "no result store was given, so a re-dispatch "
                     "solves every cell again"

@@ -54,7 +54,7 @@ from repro.analysis import AnalysisConfig, analyze, analyze_dedicated
 from repro.analysis.compositional import LocalTask, fp_component_schedulable
 from repro.analysis.interfaces import SystemAnalysis
 from repro.model.system import TransactionSystem
-from repro.util.fixedpoint import fixed_point_stats, reseed_scope
+from repro.util.fixedpoint import fixed_point_stats
 
 __all__ = [
     "MethodInfo",
@@ -62,7 +62,6 @@ __all__ = [
     "available_methods",
     "holistic_method",
     "register_method",
-    "reseed_jitters",
     "resolve_method",
 ]
 
@@ -281,28 +280,3 @@ def available_methods() -> list[str]:
     """Sorted names of every registered method."""
     return sorted(_METHODS)
 
-
-def reseed_jitters(
-    name: str, system: TransactionSystem
-) -> dict[tuple[int, int], float] | None:
-    """Recover the warm-start jitter vector of *system* under method *name*.
-
-    The chain runners call this for a sweep level served from the result
-    store whose successor must be solved: the converged jitters are the
-    least fixed point of that level's outer iteration, which is
-    independent of the starting vector, so a cold re-solve reproduces
-    exactly the jitters the original (possibly warm-started) run handed
-    to the next level.
-    Returns ``None`` for methods without warm-start support, or when the
-    re-solve did not converge to a finite jitter vector (matching what the
-    original run would have chained).
-
-    The re-solve's cost is charged to the ``reseed_*`` counters of
-    :mod:`repro.util.fixedpoint` instead of any reported cell.
-    """
-    info = resolve_method(name)
-    if not info.supports_warm_start:
-        return None
-    with reseed_scope():
-        outcome = info.fn(system, None)
-    return outcome.jitters

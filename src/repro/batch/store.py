@@ -1,14 +1,16 @@
 """Persistent content-addressed result store for analysis outcomes.
 
-A :class:`ResultStore` memoizes solved analysis cells across processes
-and runs: entries are keyed by :class:`StoreKey` -- the content hashes
-of the analyzed system and of the execution context
-(:func:`~repro.batch.canonical.campaign_config_hash` for campaign
-cells, :func:`~repro.batch.canonical.analysis_config_hash` for one-shot
-``analyze`` calls), plus the sweep level and method name.  Identical
-inputs under an identical context hash to the same key, so a second
-campaign over overlapping cells -- a rerun, a replicate extension, a
-re-dispatch -- serves those cells from disk instead of solving them.
+A :class:`ResultStore` memoizes solved analyses across processes and
+runs: entries are keyed by :class:`StoreKey` -- the content hashes of
+the analyzed systems and of the execution context.  A campaign files
+one entry per chain, holding every cell of the chain, under
+:func:`~repro.batch.canonical.campaign_config_hash` and the hashes of
+the chain's systems in sweep order; a one-shot ``analyze`` call files
+its outcome under :func:`~repro.batch.canonical.analysis_config_hash`
+and the system's hash.  Identical inputs under an identical context
+hash to the same key, so a second campaign over overlapping chains -- a
+rerun, a replicate extension, a re-dispatch -- serves those chains from
+disk instead of solving them.
 
 The backend is a directory of JSON files, chosen over sqlite on
 purpose: dispatch shards are independent processes (possibly on
@@ -47,12 +49,14 @@ __all__ = ["ResultStore", "StoreGcStats", "StoreKey", "StoreStats"]
 class StoreKey:
     """Identity of one stored analysis outcome.
 
-    ``level`` is the sweep value the cell was solved at (``None`` for
-    unswept contexts such as one-shot ``analyze`` calls); ``method`` the
-    registry name of the analysis method.
+    ``system_hash`` is one system's hash, or a campaign chain's system
+    hashes in sweep order.  ``level`` is the sweep value an outcome was
+    solved at (``None`` for one-shot ``analyze`` calls and whole
+    chains); ``method`` the registry name of the analysis method
+    (``"chain"`` for a chain, whose methods the config hash names).
     """
 
-    system_hash: str
+    system_hash: str | tuple[str, ...]
     config_hash: str
     level: float | int | None
     method: str
@@ -116,12 +120,12 @@ class ResultStore:
     """Directory-of-JSON content-addressed store (see module docstring).
 
     ``get`` is defensive: unreadable, unparsable or identity-mismatched
-    files read as misses (the cell is then simply re-solved).  ``put``
-    is put-if-absent -- entries are immutable once written, matching the
-    content-addressed contract, and a damaged entry counts as absent, so
-    the re-solved cell replaces it -- and raises :class:`OSError` if the
-    store root is not writable, because silently running uncached would
-    hide a misconfiguration.
+    files read as misses (the outcome is then simply solved again).
+    ``put`` is put-if-absent -- entries are immutable once written,
+    matching the content-addressed contract, and a damaged entry counts
+    as absent, so the re-solved outcome replaces it -- and raises
+    :class:`OSError` if the store root is not writable, because silently
+    running uncached would hide a misconfiguration.
     """
 
     def __init__(self, root: str | Path):

@@ -17,10 +17,14 @@ from other inputs.  A replaced zygote closes once its last caller has
 released it (:func:`release`), so a dispatch never loses the zygote
 under its running shards; the others close at interpreter exit.  An
 idle zygote costs one interpreter's RSS with :data:`PRELOAD` imported.
-Its log, ``zygote.log``, stays in the directory the first launch named
-(a dispatch's work dir), and it holds the zygote's own output only:
-each shard logs to its own file.  A process that dispatches once, such
-as ``python -m repro campaign-dispatch``, still pays one start.
+Its log holds the zygote's own output only (each shard logs to its own
+file).  Unless the caller names one, the log is a file of its own in the
+system temp dir, ``repro-zygote-*.log``, outside every dispatch's work
+dir: the zygote outlives the dispatch that started it, whose work dir
+its caller may delete (the service does).  That file is removed when
+the zygote exits or is closed, if nothing was written to it.  A process
+that dispatches once, such as ``python -m repro campaign-dispatch``,
+still pays one start.
 
 The zygote is single-threaded, ignores SIGINT and leads its own process
 group.  It reaps a child only when the launcher polls it, so a pid stays
@@ -44,6 +48,7 @@ import os
 import signal
 import subprocess
 import sys
+import tempfile
 import threading
 import time
 import traceback
@@ -51,7 +56,10 @@ from multiprocessing.connection import Connection, wait
 from pathlib import Path
 
 #: What the zygote imports before its first fork: a shard's module set.
-PRELOAD = ("repro.cli", "repro.batch.campaign")
+#: ``numpy.random`` is the campaign's ``SeedSequence``; preloading it is
+#: safe because the package never draws from NumPy's global
+#: ``RandomState``, the one state forked shards would share.
+PRELOAD = ("repro.cli", "repro.batch.campaign", "numpy.random")
 #: Seconds a zygote may take to import :data:`PRELOAD` and report ready.
 START_TIMEOUT = 120.0
 
@@ -91,15 +99,23 @@ class ForkedShard:
 
 
 class Zygote:
-    """The launcher's end of one zygote process, logging to *log_path*.
+    """The launcher's end of one zygote process, logging to *log_path*
+    (``None``: a temp file of its own, see the module docstring).
 
     Started from *env* and the launcher's interpreter, cwd and
     :data:`PRELOAD` (its :attr:`key`); closed at interpreter exit at the
     latest.
     """
 
-    def __init__(self, env: dict, log_path: Path):
+    def __init__(self, env: dict, log_path: Path | None = None):
         self.key = _start_key(env)
+        #: Whether :attr:`log_path` is the zygote's own temp file.
+        self._temp_log = log_path is None
+        if log_path is None:
+            fd, log_path = tempfile.mkstemp(prefix="repro-zygote-",
+                                            suffix=".log")
+            os.close(fd)
+        self.log_path = Path(log_path)
         #: The process that started the zygote: only it may use or close
         #: it (a forked child inherits the object, not the zygote).
         self.owner = os.getpid()
@@ -109,7 +125,8 @@ class Zygote:
         with open(log_path, "ab") as log:
             self._proc = subprocess.Popen(
                 [sys.executable, "-m", __name__, str(theirs.fileno()),
-                 str(self.owner), *PRELOAD],
+                 str(self.owner), str(log_path) if self._temp_log else "",
+                 *PRELOAD],
                 stdin=subprocess.DEVNULL, stdout=log, stderr=log, env=env,
                 pass_fds=(theirs.fileno(),),
             )
@@ -119,13 +136,14 @@ class Zygote:
         atexit.register(self.close)
         ready = self._conn.poll(START_TIMEOUT)
         if not ready or self.request(None) != "ready":
+            tail = self.log_path.read_text(errors="replace")[-2000:]
             self.close()
             from repro.batch.dispatch import DispatchError
 
             raise DispatchError(
                 f"shard zygote failed to start within {START_TIMEOUT:g}s "
-                f"(exit status {self._proc.returncode}); {log_path} ends:\n"
-                + Path(log_path).read_text(errors="replace")[-2000:]
+                f"(exit status {self._proc.returncode}); {self.log_path} "
+                f"ends:\n{tail}"
             )
 
     def request(self, message):
@@ -163,6 +181,14 @@ class Zygote:
                 os.killpg(self._proc.pid, signal.SIGKILL)  # whole group
             self._proc.kill()
             self._proc.wait()
+            if self._temp_log:  # in case the zygote died before it could
+                _drop_if_empty(self.log_path)
+
+
+def _drop_if_empty(path) -> None:
+    with contextlib.suppress(OSError):
+        if os.stat(path).st_size == 0:
+            os.unlink(path)
 
 
 _lock = threading.Lock()
@@ -176,7 +202,7 @@ def _start_key(env: dict) -> tuple:
     return sys.executable, os.getcwd(), env, PRELOAD
 
 
-def acquire(env: dict, log_path: Path) -> Zygote:
+def acquire(env: dict, log_path: Path | None = None) -> Zygote:
     """This process's zygote for start env *env*; :func:`release` it.
 
     Starts one, logging to *log_path*, unless the current zygote is
@@ -239,8 +265,10 @@ def _run_shard(request: dict, conn: Connection) -> int:
     return (code or 0) & 0xFF
 
 
-def serve(fd: int, launcher: int, preload) -> None:
-    """The zygote: ``python -m repro.batch.zygote FD LAUNCHER MODULE...``."""
+def serve(fd: int, launcher: int, temp_log: str, preload) -> None:
+    """The zygote: ``python -m repro.batch.zygote FD LAUNCHER LOG
+    MODULE...``; ``LOG`` is its own temp log to remove on exit if empty
+    (``""``: a log its launcher named)."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     os.setpgid(0, 0)
     os.environ["OPENBLAS_NUM_THREADS"] = "1"  # or NumPy's import starts a pool
@@ -281,8 +309,10 @@ def serve(fd: int, launcher: int, preload) -> None:
     # launcher's wait in close().
     sys.stdout.flush()
     sys.stderr.flush()
+    if temp_log:  # also when the launcher died and never closes it
+        _drop_if_empty(temp_log)
     os._exit(0)
 
 
 if __name__ == "__main__":
-    serve(int(sys.argv[1]), int(sys.argv[2]), sys.argv[3:])
+    serve(int(sys.argv[1]), int(sys.argv[2]), sys.argv[3], sys.argv[4:])

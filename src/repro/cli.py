@@ -194,12 +194,12 @@ def build_parser() -> argparse.ArgumentParser:
                       "omitted, lpt falls back to the levels x tasks "
                       "size proxy")
     p_cp.add_argument("--store", metavar="DIR",
-                      help="content-addressed result store: cells whose "
-                      "(system, execution context, level, method) was "
-                      "solved by any previous run sharing DIR are served "
-                      "from disk (bit-identical to solving them), fresh "
-                      "solves are written back as they finish -- rerun a "
-                      "killed campaign with the same DIR to recover it")
+                      help="content-addressed result store: a chain whose "
+                      "execution context and systems were solved by any "
+                      "previous run sharing DIR is served from disk "
+                      "(bit-identical to solving it), each fresh chain is "
+                      "written back as one entry as it finishes -- rerun "
+                      "a killed campaign with the same DIR to recover it")
     p_cp.add_argument("--chains", metavar="I,J,...",
                       help="run only the chains with these plan indices "
                       "(the dispatcher's elastic-split primitive; any "
@@ -221,8 +221,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Over-partition the campaign into fine shards, run "
         "them on a pool of worker subprocesses fed from a shared queue "
         "(fast workers steal the long tail), relaunch dead shards (with "
-        "--store, a relaunch serves every cell an earlier attempt "
-        "solved), and auto-merge the union -- bit-identical to a "
+        "--store, a relaunch serves every chain an earlier attempt "
+        "finished), and auto-merge the union -- bit-identical to a "
         "single-process run.",
     )
     _add_campaign_spec_args(p_cd)
@@ -328,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
                       "shard via --store (must be shared storage when "
                       "--hosts spans machines); relaunched and split "
                       "shards, repeated or overlapping dispatches then "
-                      "skip already-solved cells.  Without it a failed "
+                      "skip already-solved chains.  Without it a failed "
                       "shard is solved again from scratch")
 
     p_cm = sub.add_parser(

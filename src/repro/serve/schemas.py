@@ -169,15 +169,13 @@ class CampaignRequest:
 # -- canonical result payload ----------------------------------------------
 
 #: CampaignResult fields that vary run to run without changing what was
-#: computed.  ``chain_costs`` are recorded wall seconds; the store and
-#: re-seed counters describe *how* cells were obtained, not their values.
+#: computed.  ``chain_costs`` are recorded wall seconds; the store
+#: counters describe *how* cells were obtained, not their values.
 _VOLATILE_RESULT_FIELDS = frozenset(
     {
         "workers",
         "wall_time_s",
         "streamed_cells",
-        "reseed_solves",
-        "reseed_evaluations",
         "store_hits",
         "store_misses",
         "chain_costs",

@@ -11,9 +11,8 @@ harness.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable
 
 from repro.util.math import EPS
 
@@ -30,7 +29,6 @@ __all__ = [
     "note_prefilter",
     "note_solve",
     "note_solves",
-    "reseed_scope",
     "reset_fixed_point_stats",
 ]
 
@@ -60,15 +58,6 @@ class FixedPointStats:
     #: redundant -- the savings the campaign accounting reports.
     outer_task_solves: int = 0
     outer_task_skips: int = 0
-    #: Solves/evaluations spent *re-seeding* warm-start state rather than
-    #: producing a reported result: after a sweep level served from the
-    #: result store, the next solved level needs that level's converged
-    #: jitter vector, so the campaign re-solves the served level only to
-    #: recover it (the least fixed point is start-independent).  This work
-    #: belongs to no recorded cell.  Counted inside :func:`reseed_scope`;
-    #: the campaign threads the totals into ``CampaignResult.reseed_*``.
-    reseed_solves: int = 0
-    reseed_evaluations: int = 0
     #: Verdict-mode accounting (``AnalysisConfig.mode="verdict"``), all zero
     #: in exact mode: solves abandoned at a caller's deadline ceiling (the
     #: iterate provably passed the deadline, so the exact fixed point is no
@@ -91,8 +80,6 @@ class FixedPointStats:
             self.warm_started,
             self.outer_task_solves,
             self.outer_task_skips,
-            self.reseed_solves,
-            self.reseed_evaluations,
             self.ceiling_exits,
             self.prefilter_rejects,
             self.prefilter_accepts,
@@ -107,8 +94,6 @@ class FixedPointStats:
             warm_started=self.warm_started - before.warm_started,
             outer_task_solves=self.outer_task_solves - before.outer_task_solves,
             outer_task_skips=self.outer_task_skips - before.outer_task_skips,
-            reseed_solves=self.reseed_solves - before.reseed_solves,
-            reseed_evaluations=self.reseed_evaluations - before.reseed_evaluations,
             ceiling_exits=self.ceiling_exits - before.ceiling_exits,
             prefilter_rejects=self.prefilter_rejects - before.prefilter_rejects,
             prefilter_accepts=self.prefilter_accepts - before.prefilter_accepts,
@@ -132,30 +117,9 @@ def reset_fixed_point_stats() -> None:
     _STATS.warm_started = 0
     _STATS.outer_task_solves = 0
     _STATS.outer_task_skips = 0
-    _STATS.reseed_solves = 0
-    _STATS.reseed_evaluations = 0
     _STATS.ceiling_exits = 0
     _STATS.prefilter_rejects = 0
     _STATS.prefilter_accepts = 0
-
-
-@contextmanager
-def reseed_scope() -> Iterator[FixedPointStats]:
-    """Classify all solves inside the scope as warm-start re-seeding.
-
-    Yields the stats snapshot taken on entry; on exit the solves and
-    evaluations accumulated since then are additionally charged to the
-    ``reseed_*`` counters, so accounting consumers can separate "work that
-    produced a reported result" from "work that only rebuilt warm-start
-    state".
-    """
-    before = _STATS.snapshot()
-    try:
-        yield before
-    finally:
-        d = _STATS.delta(before)
-        _STATS.reseed_solves += d.solves
-        _STATS.reseed_evaluations += d.evaluations
 
 
 def note_outer_tasks(solved: int, skipped: int) -> None:

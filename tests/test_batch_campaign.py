@@ -400,7 +400,7 @@ class TestChainCosts:
 
 
 class TestResume:
-    """A rerun against the result store resumes a campaign: stored cells
+    """A rerun against the result store resumes a campaign: stored chains
     are served, the rest solved, and the cells equal a fresh run's."""
 
     def test_full_resume_reuses_everything(self, tmp_path):
@@ -412,29 +412,24 @@ class TestResume:
         assert resumed.metrics() == full.metrics()
 
     def test_partial_resume_reruns_incomplete_chains(self, tmp_path):
-        from repro.batch.campaign import chain_store_digests
+        from repro.batch.campaign import chain_store_digest
 
         spec = small_spec(systems_per_cell=3)
         full = Campaign(spec).run(workers=1)
         store = tmp_path / "store"
         Campaign(spec).run(workers=1, store=store)
-        # Drop one chain completely (replicate 2) and all but the first
-        # sweep level of another (replicate 1): the former re-runs from
-        # scratch, the latter is served its first level and re-seeds the
-        # warm-start state from it (see tests/test_campaign_resume_prefix.py
-        # for the full matrix).
-        chains = spec.chains()
-        doomed = chain_store_digests(spec, chains[1])[len(spec.methods):]
-        doomed += chain_store_digests(spec, chains[2])
-        for digest in doomed:
+        # Drop the entries of two chains (replicates 1 and 2): they re-run
+        # from scratch, the stored one is served whole (see
+        # tests/test_campaign_resume_prefix.py for the full matrix).
+        for chain in spec.chains()[1:]:
+            digest = chain_store_digest(spec, chain)
             (store / digest[:2] / f"{digest}.json").unlink()
         resumed = Campaign(spec).run(workers=1, store=store)
         assert resumed.metrics() == full.metrics()
-        # The full chain (replicate 0) plus replicate 1's first level.
+        # The one stored chain (replicate 0), every level of it.
         n_levels = len(spec.sweep_values())
-        assert resumed.store_hits == (n_levels + 1) * len(spec.methods)
-        # Re-seeding the served level's warm state cost unreported solves.
-        assert resumed.reseed_solves > 0
+        assert resumed.store_hits == n_levels * len(spec.methods)
+        assert resumed.store_misses == 2 * n_levels * len(spec.methods)
 
     def test_resume_round_trips_through_json(self, tmp_path):
         """Store entries are JSON files: a fresh handle on the directory
@@ -653,14 +648,16 @@ class TestPoolCollection:
 
 class TestParentFormatFiles:
     """Result files written by earlier versions carry ``shm_records``/
-    ``shm_overflow`` (the shared-memory ring) and ``reused_cells``
-    (chain-prefix resume); they still load and merge, and nothing writes
-    those keys any more."""
+    ``shm_overflow`` (the shared-memory ring), ``reused_cells``
+    (chain-prefix resume) and ``reseed_solves``/``reseed_evaluations``
+    (warm starts recovered from store-served levels); they still load
+    and merge, and nothing writes those keys any more."""
 
     @staticmethod
     def _write_old(result: CampaignResult, path, reused: int = 0):
         data = result.to_dict()
-        data.update(shm_records=5, shm_overflow=1, reused_cells=reused)
+        data.update(shm_records=5, shm_overflow=1, reused_cells=reused,
+                    reseed_solves=2, reseed_evaluations=9)
         path.write_text(json.dumps(data))
         return path
 
@@ -671,6 +668,13 @@ class TestParentFormatFiles:
     def test_to_dict_has_no_reused_cells(self):
         data = Campaign(small_spec()).run(workers=1).to_dict()
         assert "reused_cells" not in data
+
+    def test_to_dict_has_no_reseed_counters(self):
+        result = Campaign(small_spec()).run(workers=1)
+        assert not {"reseed_solves", "reseed_evaluations"} & set(
+            result.to_dict()
+        )
+        assert "reseed" not in result.accounting()
 
     def test_old_shard_files_merge(self, tmp_path, capsys):
         spec = small_spec(systems_per_cell=4)
@@ -689,7 +693,9 @@ class TestParentFormatFiles:
         assert rc == 0
         assert CampaignResult.load_json(merged_path).metrics() == full.metrics()
         written = json.loads(merged_path.read_text())
-        assert not {"shm_records", "reused_cells"} & set(written)
+        assert not {"shm_records", "reused_cells", "reseed_solves"} & set(
+            written
+        )
 
     def test_old_checkpoint_merges_as_a_partial(self, tmp_path, capsys):
         """A checkpoint of an earlier version -- a truncated partial that
@@ -770,8 +776,7 @@ class TestResultEncoding:
         result.cells.append(_cell(max_wcrt_ratio=math.nan))
         result.cells.append(_cell(max_wcrt_ratio=math.inf, seed=4))
         result = dataclasses.replace(
-            result, streamed_cells=3, reseed_solves=5,
-            reseed_evaluations=40, store_hits=1, store_misses=6,
+            result, streamed_cells=3, store_hits=1, store_misses=6,
             truncated=True,
         )
         loaded = CampaignResult.load_json(

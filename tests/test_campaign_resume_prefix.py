@@ -1,17 +1,19 @@
 """Resuming a killed campaign: a rerun against its result store.
 
-A campaign given a result store writes each cell to it as the cell is
-solved, so a run killed after ``cut`` cells leaves exactly that prefix
-of the canonical cell order behind.  Rerunning the same command against
-the same store resumes it: the stored cells are served, the rest solved,
-and every cell -- accounting and provenance extras included -- equals
-an uninterrupted storeless run in every field but ``time_s``.  The
-random-loss matrix deletes a seeded random 10-90 % of a complete run's
-entries and reruns an exact sweep, a verdict (pruned) spec and a mixed
-spec inline, on a 2-worker pool, sharded and as ``chain_indices``
-subsets; the prefix drills pin what a kill after ``cut`` cells leaves
-and how the rerun accounts for it, with real SIGKILLed CLI processes
-too.
+A campaign given a result store writes one entry per chain, holding
+every cell of the chain, as the chain finishes, so a run killed while
+solving cell ``cut + 1`` leaves the chains wholly inside the first
+``cut`` cells of the canonical order behind: cuts fall on chain
+boundaries.  Rerunning the same command against the same store resumes
+it: the stored chains are served whole, the rest solved, and every cell
+-- accounting and provenance extras included -- equals an uninterrupted
+storeless run in every field but ``time_s``.  The random-loss matrix
+deletes a seeded random share of a complete run's entries (at least one
+chain, never all) and reruns an exact sweep, a verdict (pruned) spec and
+a mixed spec inline, on a 2-worker pool, sharded and as
+``chain_indices`` subsets; the prefix drills pin what a kill after
+``cut`` cells leaves and how the rerun accounts for it, with real
+SIGKILLed CLI processes too.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from repro.batch import (
     ResultStore,
     merge_campaign_results,
 )
-from repro.batch.campaign import chain_store_digests
+from repro.batch.campaign import chain_store_digest
 from repro.batch.faults import FAULT_ENV
 from repro.cli import main as cli_main
 
@@ -93,25 +95,30 @@ def entries(root: Path) -> list[Path]:
 
 
 def drop_random(root: Path, seed: int) -> int:
-    """Delete a seeded random 10-90 % of the store's entries."""
+    """Delete a seeded random share of the store's entries (chains): at
+    least one, never all."""
     rng = random.Random(seed)
     files = entries(root)
-    doomed = rng.sample(files, int(len(files) * rng.uniform(0.1, 0.9)))
+    doomed = rng.sample(files, rng.randint(1, len(files) - 1))
     for path in doomed:
         path.unlink()
     return len(doomed)
 
 
-def keep_prefix(spec: CampaignSpec, root: Path, cut: int) -> None:
-    """Leave only the first *cut* cells of the canonical order stored --
-    what an inline run killed after *cut* cells wrote."""
-    digests = [
-        d for chain in spec.chains() for d in chain_store_digests(spec, chain)
-    ]
-    keep = set(digests[:cut])
+def cells_per_chain(spec: CampaignSpec) -> int:
+    return len(spec.sweep_values()) * len(spec.methods)
+
+
+def keep_prefix(spec: CampaignSpec, root: Path, cut: int) -> int:
+    """Leave stored only the chains wholly inside the first *cut* cells
+    of the canonical order -- what an inline run killed while solving
+    cell ``cut + 1`` wrote; their cell count."""
+    chains = spec.chains()[: cut // cells_per_chain(spec)]
+    keep = {chain_store_digest(spec, chain) for chain in chains}
     for path in entries(root):
         if path.stem not in keep:
             path.unlink()
+    return len(chains) * cells_per_chain(spec)
 
 
 def run_mode(spec: CampaignSpec, mode: str, store: Path) -> CampaignResult:
@@ -155,13 +162,16 @@ class TestRandomLossMatrix:
         store = tmp_path / "store"
         Campaign(spec).run(workers=1, store=store)
         total = len(entries(store))
+        assert total == len(spec.chains())
         for seed in (1, 2):
             dropped = drop_random(store, seed=seed)
-            assert 0 < dropped < total
             rerun = run_mode(spec, mode, store)
             assert cell_fields(rerun) == cell_fields(storeless), seed
-            assert rerun.store_misses > 0
-            assert rerun.store_hits + rerun.store_misses == len(rerun.cells)
+            # Hits are whole chains: every surviving entry, nothing else.
+            assert rerun.store_hits == (total - dropped) * cells_per_chain(
+                spec
+            )
+            assert rerun.store_misses == dropped * cells_per_chain(spec)
             # The rerun stored what it solved: the store is whole again.
             assert len(entries(store)) == total
 
@@ -179,8 +189,8 @@ class TestRandomLossMatrix:
 
 
 class TestPrefixResume:
-    """A run killed after ``cut`` cells stored exactly that prefix; the
-    rerun serves it and solves the rest."""
+    """A run killed after ``cut`` cells stored the chains that finished
+    before it; the rerun serves them whole and solves the rest."""
 
     @pytest.mark.parametrize("cut", [1, 2, 3, 5, 7, 11])
     def test_resume_bit_identical_at_any_cut(self, tmp_path, cut):
@@ -188,43 +198,42 @@ class TestPrefixResume:
         full = Campaign(spec).run(workers=1)
         store = tmp_path / "store"
         Campaign(spec).run(workers=1, store=store)
-        keep_prefix(spec, store, cut)
+        kept = keep_prefix(spec, store, cut)
         rerun = Campaign(spec).run(workers=1, store=store)
         # ... including the dirty-set / fixed-point solve accounting the
         # gauss_seidel method threads through the extras.
         assert cell_fields(rerun) == cell_fields(full)
-        assert rerun.store_hits == cut
+        # The cut falls back to a chain boundary (4 cells per chain).
+        assert rerun.store_hits == kept == cut // 4 * 4
 
     def test_mid_level_kill_reruns_that_level_whole(self, tmp_path):
-        # Two methods per level; an odd cut strands one method mid-level.
+        # Two methods per level, 8 cells per chain; the cut strands one
+        # method mid-level in the second chain.
         spec = make_spec(methods=("gauss_seidel", "dedicated"))
         full = Campaign(spec).run(workers=1)
         store = tmp_path / "store"
         Campaign(spec).run(workers=1, store=store)
-        keep_prefix(spec, store, 3)
+        keep_prefix(spec, store, 11)
         rerun = Campaign(spec).run(workers=1, store=store)
         assert cell_fields(rerun) == cell_fields(full)
-        # Only the one fully stored level (2 cells) is served: the
-        # methods of a level share a phase cache, so a half-stored level
-        # is solved whole.
-        assert rerun.store_hits == 2
+        # Only the finished first chain is served: the cut level, and
+        # the whole chain around it, is solved again.
+        assert rerun.store_hits == 8
 
-    def test_reseed_accounting_reported(self, tmp_path):
+    def test_cut_inside_a_chain_reruns_it_whole(self, tmp_path):
+        """A chain is served whole or solved whole from its first level,
+        so no warm start is ever recovered from a served level: the
+        rerun does no work that no reported cell accounts for."""
         spec = make_spec()
         full = Campaign(spec).run(workers=1)
         store = tmp_path / "store"
         Campaign(spec).run(workers=1, store=store)
-        keep_prefix(spec, store, 2)
+        keep_prefix(spec, store, 6)  # the cut lies inside chain 2
         rerun = Campaign(spec).run(workers=1, store=store)
-        # The level after a served one needs the served level's jitters:
-        # one warm-start re-seed, charged to no reported cell.
-        assert rerun.reseed_solves > 0
-        assert rerun.reseed_evaluations >= rerun.reseed_solves
-        acc = rerun.accounting()
-        assert acc["reseed"]["solves"] == rerun.reseed_solves
-        assert acc["reseed"]["evaluations"] == rerun.reseed_evaluations
         assert cell_fields(rerun) == cell_fields(full)
-        assert "re-seed" in rerun.format_summary()
+        assert (rerun.store_hits, rerun.store_misses) == (4, 8)
+        assert "reseed" not in rerun.accounting()
+        assert "re-seed" not in rerun.format_summary()
 
     def test_resume_without_warm_start(self, tmp_path):
         spec = make_spec(warm_start=False)
@@ -234,10 +243,10 @@ class TestPrefixResume:
         keep_prefix(spec, store, 6)
         rerun = Campaign(spec).run(workers=1, store=store)
         assert cell_fields(rerun) == cell_fields(full)
-        # No warm chaining -> nothing to re-seed.
-        assert rerun.reseed_solves == 0
+        assert rerun.store_hits == 4
 
     def test_resume_without_sweep_axis(self, tmp_path):
+        # One cell per chain: every cut is a chain boundary.
         spec = make_spec(grid={"n_transactions": (1, 2, 3)}, sweep_axis=None)
         full = Campaign(spec).run(workers=1)
         store = tmp_path / "store"
@@ -271,18 +280,20 @@ class TestPrefixResume:
         keep_prefix(spec, store, 9)
         resumed = Campaign(spec).run(workers=2, store=store)
         assert cell_fields(resumed) == cell_fields(full)
-        assert resumed.store_hits == 9
+        assert resumed.store_hits == 8
 
     def test_chained_kills_resume_to_completion(self, tmp_path):
         """kill -> rerun killed again -> rerun reaches the full result;
-        each attempt's solved cells survive into the next."""
+        each attempt's finished chains survive into the next."""
         store = tmp_path / "store"
+        # The fault fires between chains: the kill after cell 1 lands
+        # once the first chain is solved and stored.
         killed_cli_run(tmp_path, 1, tmp_path / "first.json")
-        assert len(entries(store)) == 3
+        assert len(entries(store)) == 1
         # The second attempt is served the first chain, then killed
-        # inside the second.
+        # inside the second, once it is stored.
         killed_cli_run(tmp_path, 4, tmp_path / "second.json")
-        assert len(entries(store)) == 6
+        assert len(entries(store)) == 2
         final_json = tmp_path / "final.json"
         full_json = tmp_path / "full.json"
         assert cli_main(
@@ -404,7 +415,7 @@ class TestCliResumeAfterKill:
         killed_cli_run(tmp_path, 4, tmp_path / "killed.json")
         # Chains are consumed whole: the kill after cell 4 landed inside
         # the second 3-cell chain, after both chains were stored.
-        assert len(entries(tmp_path / "store")) == 6
+        assert len(entries(tmp_path / "store")) == 2
         capsys.readouterr()
         rerun_json = tmp_path / "rerun.json"
         rc = cli_main(
@@ -419,10 +430,10 @@ class TestCliResumeAfterKill:
 
 
 def test_store_has_is_a_membership_query(tmp_path):
-    spec = make_spec(systems_per_cell=1)
+    spec = make_spec(systems_per_cell=2)
     store = ResultStore(tmp_path / "store")
-    digests = chain_store_digests(spec, spec.chains()[0])
-    assert len(digests) == spec.n_analyses()
-    assert not any(store.has(d) for d in digests)
-    Campaign(spec).run(workers=1, store=store)
-    assert all(store.has(d) for d in digests)
+    first, second = (chain_store_digest(spec, c) for c in spec.chains())
+    assert first != second
+    assert not store.has(first) and not store.has(second)
+    Campaign(spec).run(workers=1, chain_indices=[0], store=store)
+    assert store.has(first) and not store.has(second)

@@ -170,8 +170,8 @@ class TestFaultTolerance:
         assert backend.kills == 2
 
     def test_split_census_is_a_store_membership_query(self, tmp_path):
-        """The census counts each chain's stored cells; without a store
-        it is empty, so every chain counts as unfinished."""
+        """The census asks the store for each chain's one entry; without
+        a store it is empty, so every chain counts as unfinished."""
         from repro.batch.dispatch import ShardRecord
 
         spec = make_spec(systems_per_cell=3)
@@ -183,18 +183,16 @@ class TestFaultTolerance:
         storeless = CampaignDispatcher(
             spec, shards=1, workers=1, work_dir=tmp_path / "a"
         )
-        assert storeless._stored_cells(record, chain_plan) == {}
+        assert storeless._stored_chains(record, chain_plan) == set()
         store = tmp_path / "store"
         dispatcher = CampaignDispatcher(
             spec, shards=1, workers=1, work_dir=tmp_path / "b", store=store,
         )
-        assert dispatcher._stored_cells(record, chain_plan) == {
-            0: 0, 1: 0, 2: 0,
-        }
+        assert dispatcher._stored_chains(record, chain_plan) == set()
         Campaign(spec).run(workers=1, chain_indices=[1], store=store)
-        assert dispatcher._stored_cells(record, chain_plan) == {
-            0: 0, 1: 4, 2: 0,
-        }
+        assert dispatcher._stored_chains(record, chain_plan) == {1}
+        # One membership query per chain, on one digest each.
+        assert len(dispatcher._chain_digests) == 3
 
     def test_constructor_validation(self, tmp_path):
         spec = make_spec()
@@ -458,6 +456,8 @@ class TestDispatchStore:
         ).run()
         assert first.result.store_hits == 0
         assert first.result.store_misses == spec.n_analyses()
+        # The cold dispatch wrote one entry per chain.
+        assert ResultStore(store_root).stats().entries == len(spec.chains())
         second = CampaignDispatcher(
             spec, shards=2, workers=2,
             work_dir=tmp_path / "wd2", store=store_root,
@@ -465,7 +465,7 @@ class TestDispatchStore:
         assert second.result.store_hits == spec.n_analyses()
         assert second.result.store_misses == 0
         assert second.result.metrics() == first.result.metrics()
-        assert ResultStore(store_root).stats().entries == spec.n_analyses()
+        assert ResultStore(store_root).stats().entries == len(spec.chains())
 
 
 class TestSshBackend:

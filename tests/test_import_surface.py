@@ -7,11 +7,15 @@ analysis core but none of the simulator, the optimizer, the component
 model (and networkx), the service, the dispatcher or the transports.
 Every gate here compares module *sets* of fresh interpreters, so it
 holds on any machine; the walls these sets buy are recorded by
-``benchmarks/bench_startup.py``.
+``benchmarks/bench_startup.py``.  The zygote preloads ``numpy.random``
+so a forked shard imports no NumPy module; that is safe only while no
+module draws from NumPy's global ``RandomState``, which a static gate
+pins.
 """
 
 from __future__ import annotations
 
+import ast
 import importlib
 import json
 import os
@@ -124,6 +128,36 @@ class TestEntryPoints:
         assert "repro.batch.campaign" in run["modules"]
         assert _loaded(run["modules"], SHARD_EXCLUDED) == []
 
+    def test_shard_forked_after_preload_imports_no_numpy(self, tmp_path):
+        """What a forked shard imports itself: a one-chain verdict shard
+        run in-process after :data:`~repro.batch.zygote.PRELOAD` needs
+        no further NumPy module (the ``SeedSequence`` it draws its seed
+        from is preloaded)."""
+        code = (
+            "import importlib, json, sys\n"
+            "from repro.batch import zygote\n"
+            "for name in zygote.PRELOAD:\n"
+            "    importlib.import_module(name)\n"
+            "before = set(sys.modules)\n"
+            "from repro.cli import main\n"
+            "code = main(sys.argv[1:])\n"
+            "print(json.dumps([code, sorted(set(sys.modules) - before)]))"
+        )
+        out = subprocess.run(
+            [
+                sys.executable, "-c", code, "campaign",
+                "--grid", "utilization=0.3,0.6", "--transactions", "2",
+                "--tasks", "1,2", "--systems", "1", "--methods", "verdict",
+                "--shard", "0/1", "--workers", "1",
+                "--json", str(tmp_path / "shard.json"),
+            ],
+            env=_env(), capture_output=True, text=True, timeout=120,
+            check=True,
+        )
+        code, imported = json.loads(out.stdout.strip().splitlines()[-1])
+        assert code == 0
+        assert _loaded(imported, ("numpy",)) == []
+
     def test_zygote_preload_loads_only_what_shards_run(self):
         modules = _fresh(
             "import importlib, json, sys\n"
@@ -233,3 +267,55 @@ class TestPublicNames:
         assert isinstance(repro.batch.dispatch, ModuleType)
         assert repro.batch.dispatch is sys.modules["repro.batch.dispatch"]
         assert repro.gen.presets is sys.modules["repro.gen.presets"]
+
+
+#: ``numpy.random`` names that keep no global state: the generator API.
+#: Every other name there (``seed``, ``rand``, ``shuffle``,
+#: ``RandomState``, ...) reaches the legacy global ``RandomState``, which
+#: every shard forked from the zygote would share.
+_STATELESS_RANDOM = {
+    "BitGenerator", "Generator", "PCG64", "SeedSequence", "default_rng",
+}
+
+
+def _is_numpy_random(node: ast.AST) -> bool:
+    return (
+        isinstance(node, ast.Attribute)
+        and node.attr == "random"
+        and isinstance(node.value, ast.Name)
+        and node.value.id in ("np", "numpy")
+    )
+
+
+def test_no_module_draws_from_numpys_global_random_state():
+    """Forking shards from a zygote that imported ``numpy.random`` is
+    safe because nothing under ``src/repro`` uses the global state."""
+    bad = []
+    for path in sorted((SRC / "repro").rglob("*.py")):
+        where = path.relative_to(SRC)
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (
+                isinstance(node, ast.Attribute)
+                and _is_numpy_random(node.value)
+                and node.attr not in _STATELESS_RANDOM
+            ):
+                bad.append(f"{where}:{node.lineno}: {ast.unparse(node)}")
+            elif isinstance(node, ast.ImportFrom) and node.module in (
+                "numpy", "numpy.random",
+            ):
+                bad.extend(
+                    f"{where}:{node.lineno}: from {node.module} import "
+                    f"{alias.name}"
+                    for alias in node.names
+                    if (alias.name == "random" if node.module == "numpy"
+                        else alias.name not in _STATELESS_RANDOM)
+                )
+            elif isinstance(node, ast.Import):
+                # An alias of the module hides what is drawn from it.
+                bad.extend(
+                    f"{where}:{node.lineno}: import {alias.name} as "
+                    f"{alias.asname}"
+                    for alias in node.names
+                    if alias.name == "numpy.random" and alias.asname
+                )
+    assert bad == []

@@ -27,10 +27,12 @@ from repro.batch import (
     campaign_config_hash,
     canonical_json,
     content_hash,
+    merge_campaign_results,
     spec_hash,
     store_reachable_digests,
     system_hash,
 )
+from repro.batch.campaign import chain_store_digest
 from repro.batch.canonical import _write_canonical
 from repro.gen.random_transactions import RandomSystemSpec, random_system
 from repro.model.system import TransactionSystem
@@ -331,6 +333,10 @@ GOLDEN_CAMPAIGN_CONFIG = (
 GOLDEN_ANALYZE_KEY = (
     "bc2010af0f2116522cc83c46cdb9c4e7c6da378f9a1b816717536d50b87aecf5"
 )
+#: The store entry of ``small_spec()``'s first chain.
+GOLDEN_CHAIN_KEY = (
+    "b27e66187f846607794ba9093670e731cf9172064835b052b27433856003b913"
+)
 
 
 class TestGoldenKeys:
@@ -361,6 +367,10 @@ class TestGoldenKeys:
         )
         assert key.digest() == GOLDEN_ANALYZE_KEY
         assert key.identity() == key.identity()  # cached, not re-encoded
+
+    def test_chain_store_digest(self):
+        spec = small_spec()
+        assert chain_store_digest(spec, spec.chains()[0]) == GOLDEN_CHAIN_KEY
 
 
 class TestSystemHash:
@@ -628,18 +638,17 @@ class TestCampaignStore:
         store = ResultStore(tmp_path / "store")
         cold = Campaign(spec).run(workers=1, store=store)
         files = sorted(store.root.glob("??/*.json"))
-        assert len(files) == spec.n_analyses()
+        assert len(files) == len(spec.chains())
         for path in files[::2]:
             path.unlink()
         kept = len(files) - len(files[::2])
         partial = Campaign(spec).run(workers=1, store=store)
         assert partial.metrics() == cold.metrics()
         assert partial.store_hits + partial.store_misses == spec.n_analyses()
-        # Sweep serving is per-step all-or-nothing, so hits may undershoot
-        # the surviving entry count but never exceed it.
-        assert partial.store_hits <= kept
+        # An entry serves its whole chain: every surviving entry is hit.
+        assert partial.store_hits == kept * spec.n_analyses() // len(files)
         # Every miss was re-stored: the store is whole again.
-        assert len(sorted(store.root.glob("??/*.json"))) == spec.n_analyses()
+        assert len(sorted(store.root.glob("??/*.json"))) == len(files)
 
     @pytest.mark.parametrize("damage", ["empty", "not_json", "foreign"])
     def test_rerun_repairs_a_damaged_entry(self, tmp_path, damage):
@@ -677,6 +686,149 @@ class TestCampaignStore:
         assert result.store_hits == 0
         assert result.store_misses == 0
         assert "result store:" not in result.format_summary()
+
+
+def entry_files(store: ResultStore) -> list:
+    return sorted(store.root.glob("??/*.json"))
+
+
+#: The entry an earlier version's ``analyze --store`` wrote for the paper
+#: example under ``GOLDEN_ANALYZE_KEY``, byte for byte: one-shot keys and
+#: values did not change when the campaign store became chain-granular.
+EARLIER_ANALYZE_ENTRY = (
+    '{"identity": "{\\"config\\":\\"d1b404204fc38924a5358df2f4b06cd77a868b7'
+    '08391e4e5e9ff719569a8b9dc\\",\\"level\\":null,\\"method\\":\\"analyze'
+    '\\",\\"system\\":\\"53f03913d8cdb8f77e86d1af1c8a290a6b82c4e7859d618820'
+    '7bd59df7b33590\\"}", "value": {"schedulable": true, "converged": true,'
+    ' "transaction_wcrt": [31.0, 3.5, 3.5, 52.0]}}'
+)
+
+
+class TestChainEntries:
+    """The chain is the store's unit: one entry holds every cell of a
+    chain, and an entry serves its whole chain or nothing."""
+
+    @pytest.mark.parametrize("mode", ["inline", "pool", "shard", "chains"])
+    def test_cold_run_writes_one_entry_per_chain(self, tmp_path, mode):
+        spec = small_spec(methods=("gauss_seidel", "verdict"))
+        store = ResultStore(tmp_path / "store")
+        campaign = Campaign(spec)
+        indices = [c["index"] for c in spec.chains()]
+        if mode == "inline":
+            parts = [campaign.run(workers=1, store=store)]
+        elif mode == "pool":
+            parts = [campaign.run(workers=2, store=store)]
+        elif mode == "shard":
+            parts = [campaign.run(workers=1, shard=(k, 2), store=store)
+                     for k in range(2)]
+        else:
+            parts = [
+                campaign.run(workers=1, chain_indices=indices[k::2],
+                             store=store)
+                for k in range(2)
+            ]
+        cold = merge_campaign_results(parts)
+        assert cold.store_misses == spec.n_analyses()
+        assert len(entry_files(store)) == len(spec.chains())
+        assert {p.stem for p in entry_files(store)} == (
+            store_reachable_digests(spec)
+        )
+        assert cold.metrics() == Campaign(spec).run(workers=1).metrics()
+
+    def test_a_perturbed_level_misses(self, tmp_path, monkeypatch):
+        """The key covers every level's system, not only the first: a
+        scaler that changes the top level's system makes every chain
+        miss, and the re-solved cells equal the storeless run's."""
+        import repro.batch.campaign as campaign_mod
+
+        spec = small_spec()
+        store = ResultStore(tmp_path / "store")
+        Campaign(spec).run(workers=1, store=store)
+        scale = campaign_mod.GENERATOR_SWEEP_SCALERS["random_system"]
+
+        def perturbed(base, axis, base_value, new_value):
+            system = scale(base, axis, base_value, new_value)
+            if new_value == spec.sweep_values()[-1]:
+                system.transactions[0].tasks[0].wcet *= 1.01
+            return system
+
+        monkeypatch.setitem(
+            campaign_mod.GENERATOR_SWEEP_SCALERS, "random_system", perturbed
+        )
+        storeless = Campaign(spec).run(workers=1)
+        rerun = Campaign(spec).run(workers=1, store=store)
+        assert rerun.store_hits == 0
+        assert rerun.store_misses == spec.n_analyses()
+        assert rerun.metrics() == storeless.metrics()
+        assert len(entry_files(store)) == 2 * len(spec.chains())
+
+    @pytest.mark.parametrize("damage", ["short", "missing_field", "no_list"])
+    def test_an_entry_that_does_not_validate_is_a_miss(
+        self, tmp_path, damage
+    ):
+        """Under an intact identity, a cell list one short, a cell
+        without a stored field or no list at all reads as a miss: the
+        chain is solved whole again."""
+        import repro.batch.campaign as campaign_mod
+
+        spec = small_spec(systems_per_cell=1,
+                          methods=("gauss_seidel", "reduced"))
+        store = ResultStore(tmp_path / "store")
+        cold = Campaign(spec).run(workers=1, store=store)
+        (path,) = entry_files(store)
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        cells = payload["value"]["cells"]
+        assert len(cells) == spec.n_analyses()
+        if damage == "short":
+            cells.pop()
+        elif damage == "missing_field":
+            del cells[1]["extras"]
+        else:
+            payload["value"]["cells"] = dict(enumerate(cells))
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        systems, _ = campaign_mod._chain_systems(spec, spec.chains()[0])
+        assert store.get(campaign_mod._chain_key(spec, systems)) is not None
+        rerun = Campaign(spec).run(workers=1, store=store)
+        assert rerun.store_hits == 0
+        assert rerun.store_misses == spec.n_analyses()
+        assert rerun.metrics() == cold.metrics()
+
+    def test_per_cell_entries_never_match_and_gc_prunes_them(self, tmp_path):
+        """Entries an earlier version filed per cell (one system hash,
+        the level, the method) are a miss, never a wrong hit, and
+        ``store-gc --spec`` removes them."""
+        import repro.batch.campaign as campaign_mod
+
+        spec = small_spec(systems_per_cell=1)
+        store = ResultStore(tmp_path / "store")
+        systems, _ = campaign_mod._chain_systems(spec, spec.chains()[0])
+        cfg = campaign_config_hash(spec)
+        for system, level in zip(systems, spec.sweep_values()):
+            store.put(
+                StoreKey(system_hash(system), cfg, level, "gauss_seidel"),
+                {"cell": {"schedulable": False}, "warm": False},
+            )
+        run = Campaign(spec).run(workers=1, store=store)
+        assert run.store_hits == 0
+        assert run.metrics() == Campaign(spec).run(workers=1).metrics()
+        swept = store.gc(keep_digests=store_reachable_digests(spec))
+        assert (swept.removed, swept.kept) == (len(systems), 1)
+
+    def test_analyze_entry_of_an_earlier_version_is_served(
+        self, tmp_path, capsys
+    ):
+        from repro.cli import main as cli_main
+
+        store = tmp_path / "store"
+        path = store / GOLDEN_ANALYZE_KEY[:2] / f"{GOLDEN_ANALYZE_KEY}.json"
+        path.parent.mkdir(parents=True)
+        path.write_text(EARLIER_ANALYZE_ENTRY, encoding="utf-8")
+        system = tmp_path / "paper.json"
+        assert cli_main(["example", "--out", str(system)]) == 0
+        capsys.readouterr()
+        assert cli_main(["analyze", str(system), "--store", str(store)]) == 0
+        assert "(served from result store" in capsys.readouterr().out
+        assert sorted(store.glob("??/*.json")) == [path]
 
 
 class TestSaveJsonDurability:
@@ -891,4 +1043,4 @@ class TestStoreCli:
         out = capsys.readouterr().out
         assert "reachable" in out
         assert "removed 1 entr(ies)" in out
-        assert store.stats().entries == spec.n_analyses()
+        assert store.stats().entries == len(spec.chains())

@@ -627,6 +627,10 @@ class TestWarmPathDeterminism:
 
         n = first_status["n_analyses"]
         assert first_status["store"] == {"hits": 0, "misses": n}
+        # One store entry per chain of the spec.
+        assert ResultStore(tmp_path / "store").stats().entries == len(
+            CampaignSpec.from_dict(SPEC_DICT).chains()
+        )
         # The warm resubmission serves every cell from the store...
         assert second_status["store"] == {"hits": n, "misses": 0}
         # ...and all three result documents agree byte for byte.
@@ -650,7 +654,10 @@ class TestWarmPathDeterminism:
     @pytest.mark.dist
     def test_dispatch_backend_matches_pool(self, tmp_path, popen_calls):
         """backend=dispatch rides CampaignDispatcher, same bytes out; a
-        second dispatch job forks from the first one's zygote."""
+        second dispatch job forks from the first one's zygote, whose log
+        survives the deletion of both jobs' work dirs."""
+        from repro.batch import zygote
+
         inline = canonical_result_json(
             Campaign(CampaignSpec.from_dict(SPEC_DICT)).run(workers=1)
         )
@@ -670,6 +677,7 @@ class TestWarmPathDeterminism:
         assert [argv[1:3] for argv in popen_calls] == [
             ["-m", "repro.batch.zygote"]
         ]
+        assert zygote._current.alive and zygote._current.log_path.exists()
 
 
 class TestAdmissionControl:

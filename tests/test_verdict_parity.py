@@ -538,28 +538,27 @@ class TestCampaignPruning:
             assert merged.metrics() == full.metrics()
 
     def test_truncate_resume_verdicts_identical(self, tmp_path):
-        """A run truncated after ``cut`` cells left those cells in its
-        store; the rerun against it agrees with the full run on every
-        verdict -- and on every other field but ``time_s``, since a
-        served probe steers the bisection exactly as its solve did."""
-        from repro.batch.campaign import chain_store_digests
+        """A run truncated after ``cut`` cells left the chains it had
+        finished in its store; the rerun against it serves them whole,
+        re-bisects the rest and agrees with the full run on every
+        verdict -- and on every other field but ``time_s``."""
+        from repro.batch.campaign import chain_store_digest
 
         spec = CampaignSpec(methods=("verdict",), **CAMPAIGN_KW)
         campaign = Campaign(spec)
         full = campaign.run(workers=1)
-        digests = [
-            d for chain in spec.chains()
-            for d in chain_store_digests(spec, chain)
-        ]
+        digests = [chain_store_digest(spec, c) for c in spec.chains()]
+        per_chain = len(spec.sweep_values())
         n = len(full.cells)
         store = tmp_path / "store"
         for cut in (3, n // 3, n // 2, n - 5):
             campaign.run(workers=1, store=store)
-            for digest in digests[cut:]:
+            for digest in digests[cut // per_chain:]:
                 (store / digest[:2] / f"{digest}.json").unlink()
             resumed = campaign.run(workers=1, store=store)
             assert _verdict_map(resumed) == _verdict_map(full), cut
             assert resumed.metrics() == full.metrics(), cut
+            assert resumed.store_hits == cut // per_chain * per_chain
             assert resumed.store_misses > 0
 
     def test_pool_and_inline_agree_on_pruned_cells(self):

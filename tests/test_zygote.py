@@ -12,9 +12,9 @@ dispatches, and for two threads dispatching at once; a backend's close
 reaps only its own shards; changed start inputs get a fresh zygote and
 close the stale one once nothing uses it; and an owner's death leaves
 nothing alive, even while a child it forked holds the channel.  An idle
-zygote costs one interpreter's RSS; its ``zygote.log`` stays in the
-work dir of the dispatch that started it; a process that dispatches
-once still pays one start.
+zygote costs one interpreter's RSS; its log is a temp file of its own,
+outside every dispatch's work dir, removed on close when empty; a
+process that dispatches once still pays one start.
 """
 
 from __future__ import annotations
@@ -22,9 +22,11 @@ from __future__ import annotations
 import json
 import os
 import random
+import re
 import signal
 import subprocess
 import sys
+import tempfile
 import threading
 import time
 from pathlib import Path
@@ -235,6 +237,22 @@ class TestLifetime:
         assert backend._zygote._proc.pid != zpid
         backend.close()
 
+    @pytest.mark.parametrize("wrote", [False, True])
+    def test_own_log_is_removed_on_close_only_when_empty(self, wrote):
+        z = zygote.Zygote(_child_env())
+        log = z.log_path
+        try:
+            assert log.parent == Path(tempfile.gettempdir())
+            assert log.name.startswith("repro-zygote-") and log.exists()
+            if wrote:  # what a zygote traceback would leave
+                with open(log, "a") as handle:
+                    handle.write("Traceback (most recent call last):\n")
+            z.close()
+            assert log.exists() == wrote
+        finally:
+            z.close()
+            log.unlink(missing_ok=True)
+
     def test_backend_close_reaps_only_its_shards(self, tmp_path):
         ours, theirs = LocalBackend(), LocalBackend()
         env = dict(_child_env(), **{FAULT_ENV: HANG})
@@ -323,7 +341,7 @@ class TestLifetime:
         )
         worker = None
         try:
-            *pids, worker = json.loads(owner.stdout.readline())
+            log, *pids, worker = json.loads(owner.stdout.readline())
             assert all(_alive(pid) for pid in (*pids, worker))
         finally:
             owner.kill()
@@ -332,6 +350,8 @@ class TestLifetime:
         try:
             assert _wait_until(lambda: not any(_alive(pid) for pid in pids))
             assert _alive(worker)  # the channel's holder outlived them
+            # Nobody closes the zygote: it removed its empty log itself.
+            assert not Path(log).exists()
         finally:
             if worker is not None:
                 os.kill(worker, signal.SIGKILL)
@@ -340,10 +360,15 @@ class TestLifetime:
         monkeypatch.setattr(zygote, "PRELOAD", ("repro.no_such_module",))
         backend = LocalBackend()
         t0 = time.monotonic()
-        with pytest.raises(DispatchError, match="No module named"):
+        with pytest.raises(DispatchError, match="No module named") as exc:
             _launch(backend, tmp_path, ["--help"])
         assert time.monotonic() - t0 < 60
         assert backend._zygote is None
+        # The error names the zygote's log, which keeps the traceback.
+        log = Path(re.search(r"(\S+repro-zygote-\S+\.log)",
+                             str(exc.value)).group(1))
+        assert "repro.no_such_module" in log.read_text()
+        log.unlink()
 
     def test_hung_preload_raises_within_bound(self, tmp_path, monkeypatch):
         (tmp_path / "sleepy.py").write_text("import time\ntime.sleep(600)\n")
@@ -389,7 +414,8 @@ proc = backend.launch(
 )
 pool = ProcessPoolExecutor(1, mp_context=get_context("fork"))
 worker = pool.submit(os.getpid).result()
-print(json.dumps([backend._zygote._proc.pid, proc.pid, worker]), flush=True)
+print(json.dumps([str(backend._zygote.log_path), backend._zygote._proc.pid,
+                  proc.pid, worker]), flush=True)
 time.sleep(600)
 """
 
@@ -449,8 +475,10 @@ class TestDispatchThroughZygote:
             assert report.result.metrics() == single.metrics()
         assert len(popen_calls) == 1
         assert popen_calls[0][1:3] == ["-m", "repro.batch.zygote"]
-        assert (tmp_path / "wd0" / "zygote.log").exists()
-        assert not (tmp_path / "wd1" / "zygote.log").exists()
+        # The zygote outlives both dispatches: its log is in neither.
+        assert not list(tmp_path.glob("wd*/*zygote*"))
+        assert zygote._current.log_path.parent == Path(tempfile.gettempdir())
+        assert zygote._current.log_path.exists()
         assert zygote._current.alive and zygote._current.users == 0
 
     def test_threads_dispatching_at_once_share_one_zygote(
